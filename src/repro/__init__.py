@@ -40,15 +40,14 @@ def _wire_dataflow() -> None:
     it cannot import the cache/worker/telemetry modules itself; and
     ``core`` sits below ``dataflow``, so the pipeline cannot import the
     planner. This unlayered package root sees everything: it injects the
-    backend surface into the planner runtime and the planner (plus the
-    size dispatcher) into ``core``'s hooks. Runs at import time, before
-    any pipeline can be constructed — including in worker processes,
-    which import ``repro.core`` and therefore this package root first.
+    backend surface into the planner runtime and the planner into
+    ``core``'s hook. Runs at import time, before any pipeline can be
+    constructed — including in worker processes, which import
+    ``repro.core`` and therefore this package root first.
     """
-    from repro.backend import batching, cache, workers
+    from repro.backend import cache, workers
     from repro.backend.telemetry import default_registry
     from repro import dataflow
-    from repro.core import keyframes as _keyframes
     from repro.core import pipeline as _pipeline
 
     dataflow.install_runtime(dataflow.PlannerRuntime(
@@ -57,13 +56,10 @@ def _wire_dataflow() -> None:
         array_digest=cache.array_digest,
         config_fingerprint=cache.config_fingerprint,
         value_fingerprint=cache.value_fingerprint,
-        plan_batches=batching.plan_batches,
-        map_parallel=workers.map_parallel,
         map_with_failures=workers.map_with_failures,
         telemetry=default_registry,
     ))
     _pipeline.set_planner_factory(dataflow.DataflowPlanner)
-    _keyframes.set_blur_dispatcher(dataflow.BlurDispatcher())
 
 
 _wire_dataflow()

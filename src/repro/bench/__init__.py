@@ -144,7 +144,6 @@ def _synthetic_image(size: int = 128, channels: int = 3) -> np.ndarray:
 
 
 def _kernel_benches() -> List[Tuple[str, Callable[[], object], int]]:
-    from repro.dataflow.dispatch import convolve2d_fft
     from repro.vision.filters import convolve2d, gaussian_blur
     from repro.vision.hog import hog_descriptor
     from repro.vision.image import to_grayscale
@@ -156,17 +155,12 @@ def _kernel_benches() -> List[Tuple[str, Callable[[], object], int]]:
     gray = to_grayscale(image)
     rng = np.random.default_rng(7)
     kernel5 = rng.standard_normal((5, 5))
-    kernel21 = rng.standard_normal((21, 21))
     features = detect_and_describe(image, max_features=150)
 
     return [
         ("hog_descriptor_128", lambda: hog_descriptor(gray), _KERNEL_REPEATS),
         ("gaussian_blur_128", lambda: gaussian_blur(gray, 2.0), _KERNEL_REPEATS),
         ("convolve2d_5x5_128", lambda: convolve2d(gray, kernel5), _KERNEL_REPEATS),
-        # The size-dispatch pair: at 21x21 taps the planner's cost model
-        # picks FFT; the direct/fft gap here is the aggressive-mode win.
-        ("convolve2d_21x21_direct", lambda: convolve2d(gray, kernel21), _KERNEL_REPEATS),
-        ("convolve2d_21x21_fft", lambda: convolve2d_fft(gray, kernel21), _KERNEL_REPEATS),
         ("surf_detect_128", lambda: detect_and_describe(image), _KERNEL_REPEATS),
         (
             "match_descriptors_150",
@@ -203,39 +197,24 @@ def _session_id(session) -> str:
 
 
 def _pipeline_benches(profile: str) -> List[Tuple[str, Callable[[], object], int, str]]:
-    import os
-
     from repro.backend.cache import ResultCache, set_cache
-    from repro.core.config import CrowdMapConfig
+    from repro.core.config import AGGRESSIVE_PRESCREEN_THRESHOLD, CrowdMapConfig
     from repro.core.pipeline import CrowdMapPipeline
     from repro.backend.workers import map_parallel
 
     quick_dataset = _bench_dataset("quick")
 
-    def run_pinned(dataset, config, cold: bool, mode: Optional[str]):
-        """One pipeline run, optionally cache-cold and planner-pinned."""
-        previous = os.environ.get("CROWDMAP_PLANNER")
-        if mode is not None:
-            os.environ["CROWDMAP_PLANNER"] = mode
-        try:
-            if cold:
-                # Fresh cache: measures the pipeline, not memoization.
-                set_cache(ResultCache(mode="memory"))
+    def cold_runner(dataset, config):
+        def run():
+            # Fresh cache: measures the pipeline, not memoization.
+            set_cache(ResultCache(mode="memory"))
             return CrowdMapPipeline(config).run(dataset)
-        finally:
-            if mode is not None:
-                if previous is None:
-                    os.environ.pop("CROWDMAP_PLANNER", None)
-                else:
-                    os.environ["CROWDMAP_PLANNER"] = previous
+        return run
 
-    def cold_runner(dataset, config, mode: Optional[str] = None):
-        return lambda: run_pinned(dataset, config, cold=True, mode=mode)
-
-    def warm_runner(dataset, config, mode: Optional[str] = None):
+    def warm_runner(dataset, config):
         # Deliberately *not* resetting the cache: the preceding cold
         # scenario populated it, so this measures an incremental re-run.
-        return lambda: run_pinned(dataset, config, cold=False, mode=mode)
+        return lambda: CrowdMapPipeline(config).run(dataset)
 
     serial = CrowdMapConfig()
     n, sel = _PIPELINE_REPEATS, "min"
@@ -291,31 +270,15 @@ def _pipeline_benches(profile: str) -> List[Tuple[str, Callable[[], object], int
                 warm_runner(full_dataset, serial),
                 n, sel,
             ),
-            # Planner-pinned variants: `planned` is the dataflow graph
-            # executed cache-cold (vs `pipeline_lab1_full`, which follows
-            # the ambient CROWDMAP_PLANNER mode), and
-            # `planned_incremental` is the warm rerun where every node
-            # resolves from the graph-level cache — the scenario that
-            # shows what graph skipping buys over the per-kernel
-            # memoization of `pipeline_lab1_full_cached_rerun`.
-            (
-                "pipeline_lab1_planned",
-                cold_runner(full_dataset, serial, mode="default"),
-                n, sel,
-            ),
-            (
-                "pipeline_lab1_planned_incremental",
-                warm_runner(full_dataset, serial, mode="default"),
-                n, sel,
-            ),
-            # The aggressive planner profile, cache-cold: approximate LSD
-            # masking, the keyframe pre-screen and FFT dispatch under
-            # their own cache namespace. Gated by the accuracy-band grid
-            # (repro.eval --check), not bit-identity — this scenario is
-            # the speed half of that contract.
+            # The aggressive profile, cache-cold: the key-frame pre-screen
+            # thins frames before the HOG chain. Gated by the
+            # accuracy-band grid (repro.eval --check), not bit-identity —
+            # this scenario is the speed half of that contract.
             (
                 "pipeline_lab1_aggressive",
-                cold_runner(full_dataset, serial, mode="aggressive"),
+                cold_runner(full_dataset, CrowdMapConfig(
+                    keyframe_prescreen_threshold=AGGRESSIVE_PRESCREEN_THRESHOLD,
+                )),
                 n, sel,
             ),
         ]

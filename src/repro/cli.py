@@ -10,9 +10,6 @@ Commands:
 - ``serve-sim``   build shards from simulated crowds, then drive seeded
                   open-loop traffic through the serving layer and print
                   the SLO report (deterministic per seed);
-- ``planner-check`` run the same smoke crowd through the legacy cascade
-                  and the dataflow planner (default mode) and fail
-                  unless every artifact is byte-identical;
 - ``fleet-sim``   slice a multi-building crowd across N simulated ingest
                   nodes, gossip evidence summaries over fault-injected
                   links, and print the deterministic convergence report
@@ -92,19 +89,6 @@ def _add_serve_sim(subparsers) -> None:
                    help="'real' also runs each admitted query's handler")
 
 
-def _add_planner_check(subparsers) -> None:
-    p = subparsers.add_parser(
-        "planner-check",
-        help="verify the dataflow planner's default mode is "
-             "byte-identical to the legacy cascade",
-    )
-    p.add_argument("--building", default="Lab1",
-                   choices=["Lab1", "Lab2", "Gym", "Office"])
-    p.add_argument("--users", type=int, default=2,
-                   help="smoke crowd size (default 2)")
-    p.add_argument("--seed", type=int, default=11)
-
-
 def _add_fleet_sim(subparsers) -> None:
     p = subparsers.add_parser(
         "fleet-sim",
@@ -158,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_reconstruct(subparsers)
     _add_buildings(subparsers)
     _add_serve_sim(subparsers)
-    _add_planner_check(subparsers)
     _add_fleet_sim(subparsers)
     return parser
 
@@ -398,53 +381,6 @@ def cmd_buildings(_args) -> int:
     return 0
 
 
-def cmd_planner_check(args) -> int:
-    import os
-
-    from repro.backend.cache import ResultCache, set_cache
-    from repro.core import CrowdMapConfig, CrowdMapPipeline
-    from repro.dataflow.identity import diff_reconstruction
-    from repro.world import CrowdConfig, generate_crowd_dataset
-    from repro.world.buildings import BUILDING_BUILDERS
-
-    plan = BUILDING_BUILDERS[args.building]()
-    dataset = generate_crowd_dataset(
-        plan,
-        CrowdConfig(n_users=args.users, sws_per_user=1,
-                    srs_rooms_per_user=1, seed=args.seed),
-    )
-    print(f"planner-check: {len(dataset.sessions)} sessions in {plan.name}, "
-          f"seed {args.seed}")
-
-    # Each run gets a fresh in-memory cache: the comparison must measure
-    # the planner's execution, not cache hits left by the reference run.
-    previous = os.environ.get("CROWDMAP_PLANNER")
-    try:
-        os.environ["CROWDMAP_PLANNER"] = "legacy"
-        set_cache(ResultCache(mode="memory"))
-        reference = CrowdMapPipeline(CrowdMapConfig()).run(dataset)
-        os.environ["CROWDMAP_PLANNER"] = "default"
-        set_cache(ResultCache(mode="memory"))
-        planned = CrowdMapPipeline(CrowdMapConfig()).run(dataset)
-    finally:
-        if previous is None:
-            os.environ.pop("CROWDMAP_PLANNER", None)
-        else:
-            os.environ["CROWDMAP_PLANNER"] = previous
-        set_cache(None)
-
-    mismatches = diff_reconstruction(reference, planned)
-    if mismatches:
-        print(f"planner-check: FAILED, {len(mismatches)} artifact "
-              "mismatch(es) between cascade and planner:", file=sys.stderr)
-        for line in mismatches:
-            print(f"  - {line}", file=sys.stderr)
-        return 1
-    print("planner-check: planner default mode is byte-identical to the "
-          "legacy cascade")
-    return 0
-
-
 def _parse_partition(value: str, n_nodes: int):
     """Parse ``START:END:0,1|2,3`` into a node-id Partition."""
     from repro.backend.faults import Partition
@@ -526,7 +462,6 @@ _COMMANDS = {
     "reconstruct": cmd_reconstruct,
     "buildings": cmd_buildings,
     "serve-sim": cmd_serve_sim,
-    "planner-check": cmd_planner_check,
     "fleet-sim": cmd_fleet_sim,
 }
 

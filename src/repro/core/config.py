@@ -9,27 +9,16 @@ which paper stage it controls so ablations can sweep them meaningfully.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Tuple
 
-#: Recognized ``CROWDMAP_PLANNER`` values. ``default`` runs the dataflow
-#: planner in its bit-identical mode; ``aggressive`` additionally allows
-#: size-dispatched (FFT-vs-direct) kernels, which match direct values to
-#: round-off but not bit for bit; ``legacy``/``off`` run the original
-#: fixed cascade.
-PLANNER_MODES = ("default", "aggressive", "legacy", "off")
-
-
-def planner_mode() -> str:
-    """The planner mode selected by the ``CROWDMAP_PLANNER`` env switch."""
-    mode = os.environ.get("CROWDMAP_PLANNER", "default").strip().lower()
-    mode = mode or "default"
-    if mode not in PLANNER_MODES:
-        raise ValueError(
-            f"CROWDMAP_PLANNER must be one of {PLANNER_MODES}, got {mode!r}"
-        )
-    return mode
+#: ``keyframe_prescreen_threshold`` of the aggressive profile. Calibrated
+#: on the bench substrate, where adjacent-frame energies have median
+#: ~0.075: together with the heading guard, 0.11 thins ~69% of frames
+#: while the full gated accuracy grid stays inside its tolerance bands
+#: (0.12 drops Lab2's hallway F below its band — walk thinning starves
+#: the LCSS anchor matches).
+AGGRESSIVE_PRESCREEN_THRESHOLD = 0.11
 
 
 @dataclass(frozen=True)
@@ -45,24 +34,21 @@ class CrowdMapConfig:
     #: Gaussian blur applied before the selection HOG, suppressing sensor
     #: noise so Scc reflects camera motion rather than shot noise.
     hog_blur_sigma: float = 2.0
-    #: Aggressive-profile key-frame pre-screen: frames whose strided
-    #: temporal gradient energy against the last surviving frame stays
-    #: below this are dropped *before* the gray→blur→HOG chain runs on
-    #: them. Consulted only under ``CROWDMAP_PLANNER=aggressive``; the
-    #: default (bit-reproducible) profile always processes every frame.
-    #: Calibrated on the bench substrate, where adjacent-frame energies
-    #: have median ~0.075: together with the heading guard below, 0.11
-    #: thins ~69% of frames while the full gated accuracy grid stays
-    #: inside its tolerance bands (0.12 drops Lab2's hallway F below
-    #: its band — walk thinning starves the LCSS anchor matches).
-    keyframe_prescreen_threshold: float = 0.11
+    #: Key-frame pre-screen: frames whose strided temporal gradient
+    #: energy against the last surviving frame stays below this are
+    #: dropped *before* the gray→blur→HOG chain runs on them. 0 disables
+    #: it (the bit-reproducible default profile processes every frame);
+    #: the aggressive profile uses 0.11
+    #: (:data:`AGGRESSIVE_PRESCREEN_THRESHOLD`), calibrated against the
+    #: accuracy grid's tolerance bands.
+    keyframe_prescreen_threshold: float = 0.0
     #: Pre-screen coverage guard: a frame whose device heading moved at
     #: least this far (radians) since the last surviving frame always
     #: survives, whatever its pixel energy says. Spins rotate through
     #: the full circle, so this bounds the angular gap the pre-screen
     #: can open in a panorama sequence far below the stitching overlap
     #: requirement; walks hold their heading and are thinned by pixel
-    #: energy alone. Aggressive profile only, like the threshold above.
+    #: energy alone. Read only while the pre-screen is enabled.
     keyframe_prescreen_heading: float = 0.15
 
     # ---- hierarchical key-frame comparison ---------------------------

@@ -4,7 +4,10 @@ Processing every frame with SURF was the paper's bottleneck, so frames are
 first thinned: a HOG descriptor summarizes each frame's gradient structure,
 consecutive frames are compared with a normalized cross-correlation score
 ``Scc``, and frames too similar to the last kept key-frame are dropped —
-keeping only "frames with noticeable camera motion".
+keeping only "frames with noticeable camera motion". With a positive
+``keyframe_prescreen_threshold`` (the aggressive profile), a cheap
+pixel-energy pre-screen first drops near-duplicate frames before the
+HOG chain runs on them.
 
 A :class:`KeyFrame` caches every signature the later comparison stages
 need (color histogram, shape signature, wavelet signature, SURF features),
@@ -22,7 +25,7 @@ import math
 
 from repro.backend.batching import plan_batches
 from repro.backend.cache import config_fingerprint, frame_digest, get_cache
-from repro.core.config import CrowdMapConfig, planner_mode
+from repro.core.config import CrowdMapConfig
 from repro.geometry.primitives import angle_difference
 from repro.vision.color_histogram import chromaticity_histogram
 from repro.vision.filters import gaussian_blur_stack
@@ -138,43 +141,8 @@ class KeyFrame:
         return self._surf_matrix
 
 
-#: Injected by ``repro.dataflow`` (which sits below this layer's backend
-#: dependencies in the CM010 DAG, so it cannot be imported here): an
-#: object with ``variant(shape, sigma) -> "" | ":fft"`` deciding which
-#: blur implementation the size dispatcher would pick, and
-#: ``blur(stack, sigma) -> ndarray`` running the FFT path. Consulted only
-#: under ``CROWDMAP_PLANNER=aggressive``; the default mode always takes
-#: the bit-reproducible direct path.
-_blur_dispatcher = None
-
-
-def set_blur_dispatcher(dispatcher) -> None:
-    """Install the size dispatcher (called by ``repro/__init__`` wiring)."""
-    global _blur_dispatcher
-    _blur_dispatcher = dispatcher
-
-
-def _blur_variant(config: CrowdMapConfig, shape) -> str:
-    """Cache-key suffix naming the blur implementation for this shape.
-
-    ``""`` is the direct separable path (the only one default mode ever
-    uses); ``":fft"`` marks aggressive-mode FFT blurs. The suffix keys the
-    per-frame ``hog`` cache per-implementation so FFT and direct outputs
-    — equal to round-off, not bitwise — never share a cache slot.
-    """
-    if _blur_dispatcher is None or planner_mode() != "aggressive":
-        return ""
-    return _blur_dispatcher.variant(shape, config.hog_blur_sigma)
-
-
-def _blur_stack(stack: np.ndarray, config: CrowdMapConfig, variant: str) -> np.ndarray:
-    if variant == ":fft":
-        return _blur_dispatcher.blur(stack, config.hog_blur_sigma)
-    return gaussian_blur_stack(stack, config.hog_blur_sigma)
-
-
 def _prescreen_energy(frame: Frame) -> np.ndarray:
-    """4x-strided single-channel plane used by the aggressive pre-screen.
+    """4x-strided single-channel plane used by the key-frame pre-screen.
 
     Cheap by construction: a strided view (green channel for RGB — the
     luma-dominant one), no conversion, no copy until the subtraction.
@@ -188,7 +156,7 @@ def _prescreen_energy(frame: Frame) -> np.ndarray:
 def prescreen_survivors(
     frames: Sequence[Frame], config: CrowdMapConfig
 ) -> List[Frame]:
-    """Thin near-duplicate frames before the HOG chain (aggressive only).
+    """Thin near-duplicate frames before the HOG chain.
 
     Sequential scan mirroring the selection loop's shape: a frame
     survives when the mean absolute temporal gradient of its strided
@@ -206,7 +174,8 @@ def prescreen_survivors(
     skips the full gray→blur→HOG chain entirely, so selection sees a
     thinner sequence and its Scc decisions may differ from the default
     profile's. Accuracy is gated by the scorecard tolerance bands, not
-    bit-identity. Callers must not invoke this in default mode.
+    bit-identity. A non-positive threshold (the default profile) returns
+    every frame.
     """
     threshold = config.keyframe_prescreen_threshold
     if threshold <= 0.0 or len(frames) <= 2:
@@ -235,17 +204,12 @@ def _frame_hog(frame: Frame, config: CrowdMapConfig) -> np.ndarray:
     selection thins with), so on incremental re-runs the cache turns the
     dominant per-frame cost into a digest lookup.
     """
-    variant = _blur_variant(config, frame.pixels.shape)
     key = frame_digest(frame) + config_fingerprint(
         config, ("hog_blur_sigma", "hog_cell_size")
-    ) + variant
+    )
 
     def compute() -> np.ndarray:
-        stack = frame_stack(frame)
-        if variant:
-            smoothed = _blur_dispatcher.blur(stack.gray, config.hog_blur_sigma)
-        else:
-            smoothed = stack.blurred(config.hog_blur_sigma)
+        smoothed = frame_stack(frame).blurred(config.hog_blur_sigma)
         return hog_descriptor(smoothed, cell_size=config.hog_cell_size)
 
     return get_cache().get_or_compute("hog", key, compute)
@@ -271,11 +235,7 @@ def _frame_hogs(
     fingerprint = config_fingerprint(
         config, ("hog_blur_sigma", "hog_cell_size")
     )
-    keys = [
-        frame_digest(frame) + fingerprint
-        + _blur_variant(config, frame.pixels.shape)
-        for frame in frames
-    ]
+    keys = [frame_digest(frame) + fingerprint for frame in frames]
     hogs: List[Optional[np.ndarray]] = [None] * len(frames)
     misses: List[int] = []
     for i in range(len(frames)):
@@ -298,10 +258,7 @@ def _frame_hogs(
         # (per-lane bit-identical to converting alone) so later stages —
         # S1 signatures, SURF, LSD — never reconvert the same pixels.
         adopt_gray_stack([frames[i] for i in frame_indices], gray_stack)
-        smoothed = _blur_stack(
-            gray_stack, config,
-            _blur_variant(config, frames[frame_indices[0]].pixels.shape),
-        )
+        smoothed = gaussian_blur_stack(gray_stack, config.hog_blur_sigma)
         descriptors = hog_descriptor_stack(
             smoothed, cell_size=config.hog_cell_size
         )
@@ -351,10 +308,10 @@ def select_keyframes(
                 f"{frame.frame_index} has non-finite pixels (corrupt upload)",
                 session_id=session_id, frame_index=frame.frame_index,
             )
-    # Aggressive profile only: thin near-duplicate frames before any
-    # kernel runs on them. The default profile processes every frame
-    # (bit-identical to the pre-planner pipeline).
-    if planner_mode() == "aggressive":
+    # The aggressive profile thins near-duplicate frames before any
+    # kernel runs on them. The default profile (threshold 0) processes
+    # every frame.
+    if config.keyframe_prescreen_threshold > 0.0:
         frames = prescreen_survivors(frames, config)
     # Every frame's HOG is needed (selection compares each against the
     # last kept key-frame), so compute the whole sequence in one batch.

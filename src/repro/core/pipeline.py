@@ -48,7 +48,7 @@ from repro.core.aggregation import (
     calibrate_drift,
 )
 from repro.core.comparison import KeyframeComparator
-from repro.core.config import CrowdMapConfig, planner_mode
+from repro.core.config import CrowdMapConfig
 from repro.core.floorplan import FloorPlanAssembler, FloorPlanResult
 from repro.core.keyframes import KeyFrame, prefetch_surf, select_keyframes
 from repro.core.panorama import PanoramaBuilder, PanoramaCoverageError, RoomPanorama
@@ -59,10 +59,10 @@ from repro.world.crowd import CrowdDataset
 from repro.world.walker import CaptureSession
 
 
-#: Installed by ``repro/__init__``: ``(pipeline, mode) -> planner`` where
-#: the planner exposes ``run_sessions``. Kept as an injection point (like
-#: the keyframe blur dispatcher) because ``repro.dataflow`` sits above
-#: ``core`` only through the unlayered package root in the CM010 DAG.
+#: Installed by ``repro/__init__``: ``pipeline -> planner`` where the
+#: planner exposes ``run_sessions``. Kept as an injection point because
+#: ``repro.dataflow`` sits above ``core`` only through the unlayered
+#: package root in the CM010 DAG.
 _planner_factory = None
 
 
@@ -369,18 +369,12 @@ class CrowdMapPipeline:
         a flat stream, and multi-floor reconstruction feeds per-floor
         session groups through it.
 
-        Execution is dispatched by the ``CROWDMAP_PLANNER`` env switch:
-        ``default`` (and ``aggressive``) build and execute the dataflow
-        graph via the installed planner; ``legacy``/``off`` run the
-        original fixed cascade in :meth:`run_sessions_legacy`. The
-        default planner mode is byte-identical to the cascade — the
-        twin-run determinism suite and ``python -m repro.dataflow``
-        enforce that.
+        Execution builds and runs the dataflow graph via the installed
+        planner. Under every config it is byte-identical to the original
+        fixed cascade in :meth:`run_sessions_legacy`, which stays as the
+        reference the bit-identity tests compare against.
         """
-        mode = planner_mode()
-        if mode in ("legacy", "off") or _planner_factory is None:
-            return self.run_sessions_legacy(sessions)
-        return _planner_factory(self, mode).run_sessions(sessions)
+        return _planner_factory(self).run_sessions(sessions)
 
     def run_sessions_legacy(
         self, sessions: List[CaptureSession]

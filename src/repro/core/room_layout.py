@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.core.config import CrowdMapConfig, planner_mode
+from repro.core.config import CrowdMapConfig
 from repro.core.panorama import RoomPanorama
 from repro.geometry.primitives import Point
 from repro.vision.filters import gaussian_blur
@@ -259,17 +259,11 @@ class RoomLayoutEstimator:
 
         Runs the line-segment detector on the panorama and ranks panorama
         columns by their vertical-segment support (the Hough-style voting
-        of :func:`dominant_vertical_columns`). Under the aggressive
-        planner profile the detector's coarse support screen runs with
-        its tightened (accuracy-gated, not provable) thresholds.
+        of :func:`dominant_vertical_columns`).
         """
         if gray is None:
             gray = pano.panorama.grayscale()
-        segments = detect_line_segments(
-            pano.panorama.pixels,
-            gray=gray,
-            aggressive=planner_mode() == "aggressive",
-        )
+        segments = detect_line_segments(pano.panorama.pixels, gray=gray)
         ranked = dominant_vertical_columns(segments, pano.width)
         azimuths = []
         for column, _support in ranked[:max_corners]:

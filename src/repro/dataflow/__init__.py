@@ -1,4 +1,4 @@
-"""Dataflow planner: graph-level caching, fusion, size-dispatched kernels.
+"""Dataflow planner: graph-level caching and fusion of the reconstruction.
 
 Layered between ``vision`` and ``world``/``baselines`` in the CM010 DAG:
 this package may import the vision kernels and ``core`` (both below it)
@@ -10,9 +10,8 @@ Public surface:
 - :class:`DataflowPlanner` / :func:`last_plan_report` — the executor and
   its node-execution telemetry.
 - :func:`build_plan` and the key machinery in :mod:`repro.dataflow.graph`.
-- The FFT-vs-direct size dispatcher in :mod:`repro.dataflow.dispatch`.
-- ``python -m repro.dataflow`` — the planner-vs-cascade byte-identity
-  verifier CI runs on the smoke profile.
+- :func:`repro.dataflow.identity.diff_reconstruction` — the artifact
+  byte diff the planner-vs-cascade bit-identity tests gate on.
 """
 
 from __future__ import annotations
@@ -20,35 +19,13 @@ from __future__ import annotations
 from repro.dataflow.graph import ReconstructionPlan, build_plan
 from repro.dataflow.planner import DataflowPlanner, PlanReport, last_plan_report
 from repro.dataflow.runtime import PlannerRuntime, get_runtime, install_runtime
-from repro.dataflow import dispatch
-
-
-class BlurDispatcher:
-    """The size-dispatch hook ``repro.core.keyframes`` consults.
-
-    ``variant`` names the implementation the cost model picks for a
-    given image shape (``""`` direct, ``":fft"`` FFT) — used as a cache
-    key suffix; ``blur`` runs the FFT path.
-    """
-
-    @staticmethod
-    def variant(shape, sigma: float) -> str:
-        choice = dispatch.choose_separable(sigma, tuple(shape[-2:]))
-        return ":fft" if choice == "fft" else ""
-
-    @staticmethod
-    def blur(stack, sigma: float):
-        return dispatch.gaussian_blur_stack_fft(stack, sigma)
-
 
 __all__ = [
-    "BlurDispatcher",
     "DataflowPlanner",
     "PlanReport",
     "PlannerRuntime",
     "ReconstructionPlan",
     "build_plan",
-    "dispatch",
     "get_runtime",
     "install_runtime",
     "last_plan_report",

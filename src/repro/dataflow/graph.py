@@ -12,7 +12,9 @@ names, each keyed by a *content address*:
   content change invalidates exactly its own stack subgraph.
 - ``kf:<session>`` — key-frame selection for one session. Key = digest
   of the session's frames + trajectory + capture metadata, scoped to the
-  HOG/NCC config fields the selection reads.
+  HOG/NCC and pre-screen config fields the selection reads — so the
+  default and aggressive profiles key every selection-dependent node
+  apart and share one cache namespace safely.
 - ``pair:<a>+<b>`` — pairwise merge scoring between two sessions. Key =
   both key-frame node keys + the comparison/LCSS config fields. A pair
   node's key therefore changes exactly when either input session (or a
@@ -46,8 +48,14 @@ from repro.dataflow.runtime import get_runtime
 #: The shared frame stack (repro.vision.framestack) derives per-frame
 #: planes — grayscale, blurred, gradients, standardized, integral — whose
 #: only config input is the HOG blur sigma (every other plane is a pure
-#: function of the pixels).
-FRAMESTACK_FIELDS: Tuple[str, ...] = ("hog_blur_sigma",)
+#: function of the pixels). The ``fs:`` marker also vouches for which
+#: frames the fused HOG pass covered, and the key-frame pre-screen picks
+#: those, so its two fields are in scope: a marker written under one
+#: profile never vouches for the frames the other profile reads.
+FRAMESTACK_FIELDS: Tuple[str, ...] = (
+    "hog_blur_sigma",
+    "keyframe_prescreen_threshold", "keyframe_prescreen_heading",
+)
 KEYFRAME_FIELDS: Tuple[str, ...] = (
     "keyframe_ncc_threshold", "hog_cell_size", "hog_blur_sigma",
     "keyframe_prescreen_threshold", "keyframe_prescreen_heading",

@@ -1,11 +1,11 @@
 """Byte-identity diffing between two reconstruction results.
 
-The planner's default-mode contract is *scheduling-only* change: every
-artifact must agree with the legacy cascade bit for bit. This module
-turns that contract into a checkable diff — ``diff_reconstruction``
-returns one human-readable line per mismatching artifact, and an empty
-list when the two results are byte-identical. The CLI
-(``python -m repro planner-check``) and CI both gate on it.
+The planner's contract is *scheduling-only* change: every artifact must
+agree with the legacy cascade bit for bit. This module turns that
+contract into a checkable diff — ``diff_reconstruction`` returns one
+human-readable line per mismatching artifact, and an empty list when the
+two results are byte-identical. The planner bit-identity tests
+(``tests/dataflow/test_planner.py``, a CI step of their own) gate on it.
 
 Results are compared duck-typed (the ``ReconstructionResult`` surface
 from :mod:`repro.core.pipeline`), so the diff never imports above the

@@ -3,14 +3,15 @@
 The planner replaces the cascade's *control flow*, not its kernels: every
 node executes through the same pipeline methods the legacy path calls
 (``anchor_session``, ``score_pair``, ``build_room``, the skeleton and
-assembler entry points), so the default mode is byte-identical to the
-cascade by construction. What changes is scheduling:
+assembler entry points), so it is byte-identical to the cascade by
+construction. What changes is scheduling:
 
 - **Graph-level skipping.** Each node's content key (see
-  :mod:`repro.dataflow.graph`) is looked up in a dedicated result-cache
-  namespace before the node runs. A warm rerun resolves the whole graph
-  from session digests (memoized on the session objects) and cache
-  lookups — no interior array is re-hashed, no kernel runs.
+  :mod:`repro.dataflow.graph`) is looked up in the ``dataflow``
+  result-cache namespace before the node runs. A warm rerun resolves
+  the whole graph from session digests (memoized on the session
+  objects) and cache lookups — no interior array is re-hashed, no
+  kernel runs.
 - **Stage fusion.** Under the serial backend the per-session
   gray→blur→HOG chain is fused into one global pass over every frame of
   every *missing* key-frame node, packed into full same-shape batches
@@ -23,11 +24,11 @@ cascade by construction. What changes is scheduling:
   they save; the planner scores pairs in-line and lets comparison pull
   SURF features lazily (both bit-identical — same kernels, same order).
   Parallel backends keep the legacy fan-out + prefetch pipelining.
-- **Size-dispatched kernels** live in :mod:`repro.core.keyframes` behind
-  the injected blur dispatcher and only activate in ``aggressive`` mode;
-  the planner's only involvement is namespacing its node cache per mode
-  so near-identical (but not bit-identical) aggressive values never leak
-  into a default-mode run.
+
+The aggressive profile is plain config (a positive
+``keyframe_prescreen_threshold``). Every node key fingerprints the
+config fields its kernels read, so default and aggressive nodes share
+one namespace without ever sharing a slot.
 
 Execution telemetry (which nodes ran, which were skipped) is exposed via
 :func:`last_plan_report` for the invalidation tests and the bench
@@ -49,16 +50,14 @@ from repro.dataflow.graph import (
 )
 from repro.dataflow.runtime import get_runtime
 
-#: Result-cache namespace per planner mode. Aggressive-mode node values
-#: match default values only to round-off, so the modes never share slots.
-_NAMESPACES = {"default": "dataflow", "aggressive": "dataflow_aggressive"}
+#: Result-cache namespace of every graph node.
+_NAMESPACE = "dataflow"
 
 
 @dataclass
 class PlanReport:
     """Node-execution telemetry for one planner run."""
 
-    mode: str
     executed: Dict[str, List[str]] = field(default_factory=dict)
     skipped: Dict[str, List[str]] = field(default_factory=dict)
 
@@ -109,20 +108,14 @@ def _frames_valid(frames: Sequence[Any]) -> bool:
 class DataflowPlanner:
     """Builds and executes the reconstruction dataflow graph."""
 
-    def __init__(self, pipeline: Any, mode: str = "default"):
-        if mode not in _NAMESPACES:
-            raise ValueError(
-                f"planner mode must be one of {tuple(_NAMESPACES)}, got {mode!r}"
-            )
+    def __init__(self, pipeline: Any):
         self.pipeline = pipeline
         self.config = pipeline.config
-        self.mode = mode
-        self.namespace = _NAMESPACES[mode]
 
     # -- node bookkeeping ---------------------------------------------
 
     def _lookup(self, cache: Any, node: Node, report: PlanReport) -> Tuple[bool, Any]:
-        hit, value = cache.lookup(self.namespace, node.key)
+        hit, value = cache.lookup(_NAMESPACE, node.key)
         if hit:
             report.skipped.setdefault(node.kind, []).append(node.node_id)
             get_runtime().telemetry.counter(
@@ -132,7 +125,7 @@ class DataflowPlanner:
         return hit, value
 
     def _executed(self, cache: Any, node: Node, value: Any, report: PlanReport) -> None:
-        cache.store(self.namespace, node.key, value)
+        cache.store(_NAMESPACE, node.key, value)
         report.executed.setdefault(node.kind, []).append(node.node_id)
         get_runtime().telemetry.counter(
             "dataflow_nodes_executed",
@@ -162,13 +155,13 @@ class DataflowPlanner:
         marker hit means a previous run already pushed this content
         through the shared-plane chain (its per-frame cache slots are
         warm, so the session is dropped from the fused batch); a miss
-        executes the pass and stores the marker. Under the aggressive
-        profile the key-frame pre-screen thins each session's frames
-        first, so the fused chain never runs on frames the selection is
-        about to drop anyway.
+        executes the pass and stores the marker. When the key-frame
+        pre-screen is enabled it thins each session's frames first, so
+        the fused chain never runs on frames the selection is about to
+        drop anyway.
         """
         from repro.core.keyframes import _frame_hogs, prescreen_survivors
-        aggressive = self.mode == "aggressive"
+        prescreen = self.config.keyframe_prescreen_threshold > 0.0
         frames: List[Any] = []
         pending_nodes: List[Node] = []
         for session in sessions:
@@ -181,7 +174,7 @@ class DataflowPlanner:
                     continue
                 pending_nodes.append(node)
             session_frames = session.frames
-            if aggressive:
+            if prescreen:
                 session_frames = prescreen_survivors(session_frames, self.config)
             frames.extend(session_frames)
         if frames:
@@ -215,7 +208,7 @@ class DataflowPlanner:
         fuse = self._serial and cache.enabled
 
         plan = build_plan(pipeline, sessions)
-        report = PlanReport(mode=self.mode)
+        report = PlanReport()
         timings: Dict[str, float] = {}
         failures: List[StageFailure] = []
 
@@ -244,44 +237,35 @@ class DataflowPlanner:
                 def consume(index: int, ok: bool, value: Any) -> None:
                     if ok and value is not None:
                         prefetch_surf(value.keyframes, config)
-            if quarantine:
-                successes, errors = rt.map_with_failures(
-                    pipeline.anchor_session, miss_sessions,
-                    max_workers=config.n_workers,
-                    backend=config.worker_backend,
-                    transport=config.worker_transport,
-                    consume=consume,
-                )
-                for pos, anchored_one in successes:
-                    idx = kf_miss[pos]
-                    kf_values[idx] = anchored_one
-                    self._executed(cache, plan.kf_nodes[idx], anchored_one, report)
-                for pos, exc in errors:
-                    idx = kf_miss[pos]
-                    session = plan.sws_sessions[idx]
-                    failed_ids.append(session.session_id)
-                    failures.append(StageFailure(
-                        stage="keyframes",
-                        item_id=session.session_id,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                    ))
-                    pipeline.telemetry.counter(
-                        "sessions_quarantined",
-                        "SWS sessions quarantined by graceful degradation",
-                    ).inc()
-            else:
-                results = rt.map_parallel(
-                    pipeline.anchor_session, miss_sessions,
-                    max_workers=config.n_workers,
-                    backend=config.worker_backend,
-                    transport=config.worker_transport,
-                    consume=consume,
-                )
-                for pos, anchored_one in enumerate(results):
-                    idx = kf_miss[pos]
-                    kf_values[idx] = anchored_one
-                    self._executed(cache, plan.kf_nodes[idx], anchored_one, report)
+            successes, errors = rt.map_with_failures(
+                pipeline.anchor_session, miss_sessions,
+                max_workers=config.n_workers,
+                backend=config.worker_backend,
+                transport=config.worker_transport,
+                consume=consume,
+            )
+            # pipeline_on_error="raise": fail fast with the first error in
+            # input order, before any node of the phase is stored.
+            if errors and not quarantine:
+                raise errors[0][1]
+            for pos, anchored_one in successes:
+                idx = kf_miss[pos]
+                kf_values[idx] = anchored_one
+                self._executed(cache, plan.kf_nodes[idx], anchored_one, report)
+            for pos, exc in errors:
+                idx = kf_miss[pos]
+                session = plan.sws_sessions[idx]
+                failed_ids.append(session.session_id)
+                failures.append(StageFailure(
+                    stage="keyframes",
+                    item_id=session.session_id,
+                    error_type=type(exc).__name__,
+                    message=str(exc),
+                ))
+                pipeline.telemetry.counter(
+                    "sessions_quarantined",
+                    "SWS sessions quarantined by graceful degradation",
+                ).inc()
 
         # Survivors, in original session order — the same ordering the
         # cascade's order-preserving worker map produces.
@@ -351,44 +335,34 @@ class DataflowPlanner:
                     [session for group in miss_groups for session in group],
                     plan, cache, report,
                 )
-            if quarantine:
-                successes, errors = rt.map_with_failures(
-                    pipeline.build_room, miss_groups,
-                    max_workers=config.n_workers,
-                    backend=config.worker_backend,
-                    transport=config.worker_transport,
+            successes, errors = rt.map_with_failures(
+                pipeline.build_room, miss_groups,
+                max_workers=config.n_workers,
+                backend=config.worker_backend,
+                transport=config.worker_transport,
+            )
+            if errors and not quarantine:
+                raise errors[0][1]
+            for pos, result in successes:
+                idx = room_miss[pos]
+                room_values[idx] = result
+                self._executed(cache, plan.room_nodes[idx], result, report)
+            for pos, exc in errors:
+                idx = room_miss[pos]
+                group_id = "+".join(
+                    s.session_id for s in plan.srs_groups[idx]
                 )
-                for pos, result in successes:
-                    idx = room_miss[pos]
-                    room_values[idx] = result
-                    self._executed(cache, plan.room_nodes[idx], result, report)
-                for pos, exc in errors:
-                    idx = room_miss[pos]
-                    group_id = "+".join(
-                        s.session_id for s in plan.srs_groups[idx]
-                    )
-                    room_failed[idx] = group_id
-                    failures.append(StageFailure(
-                        stage="panorama",
-                        item_id=group_id,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                    ))
-                    pipeline.telemetry.counter(
-                        "panorama_groups_quarantined",
-                        "SRS panorama groups quarantined by graceful degradation",
-                    ).inc()
-            else:
-                results = rt.map_parallel(
-                    pipeline.build_room, miss_groups,
-                    max_workers=config.n_workers,
-                    backend=config.worker_backend,
-                    transport=config.worker_transport,
-                )
-                for pos, result in enumerate(results):
-                    idx = room_miss[pos]
-                    room_values[idx] = result
-                    self._executed(cache, plan.room_nodes[idx], result, report)
+                room_failed[idx] = group_id
+                failures.append(StageFailure(
+                    stage="panorama",
+                    item_id=group_id,
+                    error_type=type(exc).__name__,
+                    message=str(exc),
+                ))
+                pipeline.telemetry.counter(
+                    "panorama_groups_quarantined",
+                    "SRS panorama groups quarantined by graceful degradation",
+                ).inc()
 
         panoramas, layouts = [], []
         room_outcomes: List[str] = []

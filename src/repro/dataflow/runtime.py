@@ -27,7 +27,6 @@ class PlannerRuntime:
 
     ``get_cache``/``frame_digest``/``array_digest``/``config_fingerprint``
     /``value_fingerprint`` come from ``repro.backend.cache``;
-    ``plan_batches`` from ``repro.backend.batching``; ``map_parallel`` /
     ``map_with_failures`` from ``repro.backend.workers``; ``telemetry``
     is the default registry.
     """
@@ -37,8 +36,6 @@ class PlannerRuntime:
     array_digest: Callable[[Any], str]
     config_fingerprint: Callable[..., str]
     value_fingerprint: Callable[..., str]
-    plan_batches: Callable[..., Any]
-    map_parallel: Callable[..., Any]
     map_with_failures: Callable[..., Any]
     telemetry: Any
 

@@ -57,7 +57,6 @@ def _coarse_support_screen(
     usable: np.ndarray,
     min_region_size: int,
     min_length: float,
-    aggressive: bool,
 ) -> np.ndarray:
     """Mask out support provably unable to seed a surviving segment.
 
@@ -73,13 +72,9 @@ def _coarse_support_screen(
     cannot change any other region's growth, the same argument as the
     fine component shave below.
 
-    In default mode the thresholds are the provable bounds
-    (``4 * cells < min_region_size``, scaled diagonal < ``min_length``)
-    and the output is bit-identical to no screen at all. ``aggressive``
-    tightens them to the unscaled values — assuming fine support is
-    roughly one pixel per coarse cell, true for thin line evidence but
-    not provable — trading exactness (accuracy-gated in CI) for pruning
-    noise-speckle panoramas much harder.
+    The thresholds are the provable bounds (``4 * cells <
+    min_region_size``, scaled diagonal < ``min_length``), so the output
+    is bit-identical to no screen at all.
     """
     from scipy.ndimage import find_objects, label
 
@@ -93,18 +88,14 @@ def _coarse_support_screen(
     if not n:
         return usable
     sizes = np.bincount(labels.ravel())
-    if aggressive:
-        size_cap, length_scale = 1, 1.0
-    else:
-        size_cap, length_scale = 4, 2.0
-    doomed = sizes * size_cap < min_region_size
+    doomed = sizes * 4 < min_region_size
     doomed[0] = False
     for idx, slices in enumerate(find_objects(labels)):  # crowdlint: allow[CM006] loop is over connected components (few), reading each one's bounding-box slices
         if slices is None or doomed[idx + 1]:
             continue
         sy, sx = slices
-        bh = (sy.stop - sy.start) * length_scale
-        bw = (sx.stop - sx.start) * length_scale
+        bh = (sy.stop - sy.start) * 2.0
+        bw = (sx.stop - sx.start) * 2.0
         if math.hypot(bh - 1.0, bw - 1.0) < min_length:
             doomed[idx + 1] = True
     if doomed.any():
@@ -126,7 +117,6 @@ def detect_line_segments(
     max_segments: int = 400,
     gray: np.ndarray = None,
     prescreen: bool = True,
-    aggressive: bool = False,
 ) -> List[LineSegment2D]:
     """Detect line segments by level-line region growing.
 
@@ -143,9 +133,6 @@ def detect_line_segments(
     untouched ``to_grayscale(image)`` output. ``prescreen`` enables the
     coarse-to-fine support screen — provably output-invisible by itself,
     exposed as a flag so the oracle tests can compare both paths.
-    ``aggressive`` additionally tightens the coarse bounds beyond what is
-    provable (see :func:`_coarse_support_screen`); callers enable it only
-    under the accuracy-gated aggressive planner profile.
     """
     if gray is None:
         gray = to_grayscale(image)
@@ -173,9 +160,7 @@ def detect_line_segments(
         # Coarse stage first: the quarter-resolution screen erases
         # hopeless support cheaply before the full-resolution labelling
         # pass below spends time on it.
-        usable = _coarse_support_screen(
-            usable, min_region_size, min_length, aggressive
-        )
+        usable = _coarse_support_screen(usable, min_region_size, min_length)
     # Early rejection of undersized support components: a region grows
     # only through usable pixels, so every region is a subset of one
     # 8-connected component of ``usable`` — components smaller than

@@ -29,4 +29,4 @@ class CrowdMapPipeline:
     def run_sessions(self, sessions):
         # Planner dispatch only: stage execution happens inside graph
         # nodes, not here.
-        return _planner_factory(self, planner_mode()).run_sessions(sessions)
+        return _planner_factory(self).run_sessions(sessions)

@@ -1,29 +1,32 @@
-"""Aggressive key-frame pre-screen: oracle identity + thinning behaviour.
+"""Key-frame pre-screen: oracle identity + thinning behaviour.
 
-Two contracts. In default (bit-reproducible) mode the pre-screen must be
-completely inert: every frame reaches the gray→blur→HOG chain no matter
-what ``keyframe_prescreen_threshold`` says — enforced here by making the
-pre-screen explode if called. Under ``CROWDMAP_PLANNER=aggressive`` it
-thins near-duplicate frames before the HOG chain; its accuracy is gated
-by the scorecard bands (tests/eval), so here we pin the mechanics:
-endpoints always survive, duplicates are dropped, movement is kept, and
-a non-positive threshold disables it.
+Two contracts. In the default (bit-reproducible) profile the threshold
+is 0 and the pre-screen must be completely inert: every frame reaches
+the gray→blur→HOG chain — enforced here by making the pre-screen explode
+if called. The aggressive profile (threshold
+``AGGRESSIVE_PRESCREEN_THRESHOLD``) thins near-duplicate frames before
+the HOG chain; its accuracy is gated by the scorecard bands
+(tests/eval), so here we pin the mechanics: endpoints always survive,
+duplicates are dropped, movement is kept, and a non-positive threshold
+disables it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 import repro.core.keyframes as keyframes_mod
-from repro.core.config import CrowdMapConfig
+from repro.core.config import AGGRESSIVE_PRESCREEN_THRESHOLD, CrowdMapConfig
 from repro.core.keyframes import prescreen_survivors, select_keyframes
+
+#: The shipped aggressive profile.
+AGGRESSIVE = CrowdMapConfig(
+    keyframe_prescreen_threshold=AGGRESSIVE_PRESCREEN_THRESHOLD
+)
 
 
 class TestPrescreenSurvivors:
     def test_endpoints_always_survive(self, sws_session):
         frames = sws_session.frames[:6]
-        survivors = prescreen_survivors(frames, CrowdMapConfig())
+        survivors = prescreen_survivors(frames, AGGRESSIVE)
         assert survivors[0] is frames[0]
         assert survivors[-1] is frames[-1]
 
@@ -51,11 +54,10 @@ class TestPrescreenSurvivors:
         import dataclasses
 
         f = sws_session.frames[0]
-        config = CrowdMapConfig()
         turned = dataclasses.replace(
-            f, heading=f.heading + config.keyframe_prescreen_heading + 0.01
+            f, heading=f.heading + AGGRESSIVE.keyframe_prescreen_heading + 0.01
         )
-        survivors = prescreen_survivors([f, f, turned, f], config)
+        survivors = prescreen_survivors([f, f, turned, f], AGGRESSIVE)
         assert survivors == [f, turned, f]
 
     def test_nonpositive_threshold_disables(self, sws_session):
@@ -66,9 +68,7 @@ class TestPrescreenSurvivors:
 
     def test_short_sequences_untouched(self, sws_session):
         f = sws_session.frames
-        assert prescreen_survivors([f[0], f[0]], CrowdMapConfig()) == [
-            f[0], f[0]
-        ]
+        assert prescreen_survivors([f[0], f[0]], AGGRESSIVE) == [f[0], f[0]]
 
     def test_shape_change_always_survives(self, sws_session):
         """A resolution switch resets the comparison instead of diffing
@@ -77,9 +77,7 @@ class TestPrescreenSurvivors:
 
         f = sws_session.frames
         small = dataclasses.replace(f[0], pixels=f[0].pixels[:32, :32])
-        survivors = prescreen_survivors(
-            [f[0], small, f[0]], CrowdMapConfig()
-        )
+        survivors = prescreen_survivors([f[0], small, f[0]], AGGRESSIVE)
         assert survivors == [f[0], small, f[0]]
 
 
@@ -87,10 +85,8 @@ class TestDefaultModeIdentity:
     def test_default_mode_never_prescreens(
         self, sws_session, monkeypatch
     ):
-        """The oracle: in default mode the pre-screen must not run at
-        all — selection output cannot depend on its threshold."""
-        monkeypatch.delenv("CROWDMAP_PLANNER", raising=False)
-
+        """The oracle: in the default profile the pre-screen must not run
+        at all — selection processes every frame."""
         def explode(frames, config):
             raise AssertionError("pre-screen ran in default mode")
 
@@ -102,39 +98,19 @@ class TestDefaultModeIdentity:
         )
         assert selected
 
-    def test_threshold_is_inert_in_default_mode(self, sws_session):
-        """Same key-frames whether the knob is live or disabled."""
-        on = select_keyframes(
-            sws_session.frames, CrowdMapConfig(), session_id="s"
-        )
-        off = select_keyframes(
-            sws_session.frames,
-            CrowdMapConfig(keyframe_prescreen_threshold=0.0),
-            session_id="s",
-        )
-        assert [kf.keyframe_id for kf in on] == [
-            kf.keyframe_id for kf in off
-        ]
-        for a, b in zip(on, off):
-            assert np.array_equal(a.frame.pixels, b.frame.pixels)
-
 
 class TestAggressiveThinning:
-    def test_duplicate_frames_skip_the_hog_chain(
-        self, sws_session, monkeypatch
-    ):
+    def test_duplicate_frames_skip_the_hog_chain(self, sws_session):
         """Under the aggressive profile a duplicate-heavy sequence is
         thinned before HOG: selection still returns key-frames, and
         every selected frame is a pre-screen survivor."""
-        monkeypatch.setenv("CROWDMAP_PLANNER", "aggressive")
         f = sws_session.frames
         padded = []
         for frame in f[:20]:
             padded.extend([frame, frame, frame])
-        config = CrowdMapConfig()
         survivor_ids = {
-            id(frame) for frame in prescreen_survivors(padded, config)
+            id(frame) for frame in prescreen_survivors(padded, AGGRESSIVE)
         }
-        selected = select_keyframes(padded, config, session_id="agg")
+        selected = select_keyframes(padded, AGGRESSIVE, session_id="agg")
         assert selected
         assert all(id(kf.frame) in survivor_ids for kf in selected)

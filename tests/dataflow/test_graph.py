@@ -140,8 +140,10 @@ class TestPlanKeys:
 
     def test_framestack_scope_is_blur_sigma_only(self):
         """The stack derives pure per-pixel planes; only the blur sigma
-        is a config input. A selection-threshold change must leave every
-        stack node warm while a sigma change invalidates them all."""
+        is a config input to them, and the pre-screen fields decide which
+        frames the marker covers. A selection-threshold change must leave
+        every stack node warm while a sigma or pre-screen change
+        invalidates them all."""
         sessions = _sessions()
         base = build_plan(CrowdMapPipeline(CrowdMapConfig()), sessions)
         ncc = build_plan(
@@ -151,11 +153,13 @@ class TestPlanKeys:
         assert {sid: n.key for sid, n in base.fs_nodes.items()} == {
             sid: n.key for sid, n in ncc.fs_nodes.items()
         }
-        sigma = build_plan(
-            CrowdMapPipeline(CrowdMapConfig(hog_blur_sigma=3.0)), sessions
-        )
-        for sid, node in base.fs_nodes.items():
-            assert node.key != sigma.fs_nodes[sid].key
+        for changed in (
+            CrowdMapConfig(hog_blur_sigma=3.0),
+            CrowdMapConfig(keyframe_prescreen_threshold=0.11),
+        ):
+            plan = build_plan(CrowdMapPipeline(changed), sessions)
+            for sid, node in base.fs_nodes.items():
+                assert node.key != plan.fs_nodes[sid].key
 
     def test_framestack_invalidation_is_session_local(self):
         sessions = _sessions()

@@ -24,6 +24,7 @@ import pytest
 
 import repro.eval.__main__ as eval_cli
 from repro.bench.baseline import load_json_report
+from repro.core.config import AGGRESSIVE_PRESCREEN_THRESHOLD
 from repro.eval.scorecard import ACCURACY_SCHEMA_VERSION, run_scorecard
 from repro.world.scenarios import ScenarioSpec, quick_scenarios
 
@@ -107,19 +108,23 @@ class TestGate:
 class TestAggressivePlannerBands:
     """The aggressive profile's correctness contract is these bands.
 
-    ``CROWDMAP_PLANNER=aggressive`` trades bit-identity for speed
-    (approximate LSD masking, the key-frame pre-screen, FFT dispatch
-    under its own cache namespace); the gate that keeps it honest is the
-    same scorecard tolerance check the default profile passes. Scoring
-    the quick-grid cell against a default-mode baseline pins every
+    The aggressive profile (``keyframe_prescreen_threshold`` at the
+    calibrated constant) trades bit-identity for speed by thinning frames
+    before the HOG chain; the gate that keeps it honest is the same
+    scorecard tolerance check the default profile passes. Scoring the
+    quick-grid cell against a default-profile baseline pins the
     approximation inside the committed bands.
     """
 
     def test_aggressive_mode_stays_inside_bands(
-        self, baseline_path, monkeypatch_module, monkeypatch, capsys
+        self, baseline_path, monkeypatch_module, capsys
     ):
-        monkeypatch.setenv("CROWDMAP_PLANNER", "aggressive")
-        assert eval_cli.main(["--check", str(baseline_path)]) == 0
+        override = (
+            f"keyframe_prescreen_threshold={AGGRESSIVE_PRESCREEN_THRESHOLD}"
+        )
+        assert eval_cli.main(
+            ["--check", str(baseline_path), "--override", override]
+        ) == 0
         assert "OK: within tolerance" in capsys.readouterr().out
 
 

@@ -1,12 +1,10 @@
 """Coarse-to-fine LSD oracle: the pre-screen must be output-invisible.
 
 The coarse support screen (``_coarse_support_screen``) erases only
-support provably unable to seed a surviving segment, so in default mode
+support provably unable to seed a surviving segment, so
 ``prescreen=True`` must reproduce the unscreened detector's segments
 *bit for bit* — on structured scenes, noise speckle and rendered frames
-alike. Aggressive mode tightens the bounds beyond what is provable; its
-correctness contract is the accuracy gate, so here it only has to stay
-well-formed and keep the strong structure.
+alike.
 """
 
 from __future__ import annotations
@@ -63,13 +61,3 @@ class TestCoarsePrescreenOracle:
 
     def test_blank_image_yields_nothing(self):
         assert detect_line_segments(np.full((64, 64), 0.5)) == []
-
-    def test_aggressive_screen_keeps_strong_lines(self):
-        """Tightened (unprovable) bounds may drop marginal regions but
-        must keep the unambiguous bars the layout estimator relies on."""
-        image = _structured_image()
-        segments = detect_line_segments(
-            image, prescreen=True, aggressive=True
-        )
-        assert len(segments) >= 2
-        assert max(s.length() for s in segments) > 30.0
