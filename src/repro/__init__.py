@@ -42,8 +42,8 @@ def _wire_dataflow() -> None:
     planner. This unlayered package root sees everything: it injects the
     backend surface into the planner runtime and the planner into
     ``core``'s hook. Runs at import time, before any pipeline can be
-    constructed — including in worker processes, which import
-    ``repro.core`` and therefore this package root first.
+    constructed: importing ``repro.core`` imports this package root
+    first.
     """
     from repro.backend import cache, workers
     from repro.backend.telemetry import default_registry

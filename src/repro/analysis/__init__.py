@@ -45,12 +45,9 @@ CM011     parallel safety: functions reachable from ``map_parallel`` /
           ``map_with_failures`` / process-pool submission must not
           mutate module-level or enclosing-scope state, and worker
           closures must not capture mutable globals
-CM012     shm lifecycle: no ``ShmArena``/``SharedMemory`` use after
-          ``close()``/``unlink()`` along any straight-line path, and no
-          handles escaping their arena's ``with`` scope
 ========  ==============================================================
 
-CM001-CM008 are per-file rules; CM010-CM012 are *project* rules driven
+CM001-CM008 are per-file rules; CM010-CM011 are *project* rules driven
 by a whole-program pass (:mod:`repro.analysis.project`) that parses every
 module once, resolves relative imports against each file's package, and
 builds the import graph (:mod:`repro.analysis.graph`).

@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "crowdlint: repo-native static analysis "
-            "(per-file rules CM001-CM008, project rules CM010-CM012)"
+            "(per-file rules CM001-CM008, project rules CM010-CM011)"
         ),
     )
     parser.add_argument(

@@ -12,7 +12,7 @@ Soundness model:
 - **Per-file rules** (CM001-CM008) see one file only, so a cached result
   is valid exactly while that file's digest matches. Pragma edits change
   the source, hence the digest, hence invalidate.
-- **Project rules** (CM010-CM012) see the whole program; their findings
+- **Project rules** (CM010-CM011) see the whole program; their findings
   are stored per file but validated against a *project digest* — a
   fingerprint (via :func:`repro.backend.cache.value_fingerprint`) over
   every file's path+sha1 and the rule-set version. Any file change, add

@@ -455,7 +455,7 @@ def lint_paths(
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
     All discovered modules form one project: cross-module rules
-    (CM010-CM012) resolve imports, reachability and layer membership over
+    (CM010-CM011) resolve imports, reachability and layer membership over
     exactly this file set. For the cached incremental driver wrapping this
     pass, see :mod:`repro.analysis.cache`.
     """

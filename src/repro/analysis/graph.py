@@ -8,7 +8,7 @@ any layer *below* it, never above:
         <- vision                    (1: image kernels)
         <- world / baselines         (2: simulator, comparison methods)
         <- eval / bench              (3: quality + perf harnesses)
-        <- backend                   (4: cache, workers, shm, serving infra)
+        <- backend                   (4: cache, workers, serving infra)
         <- serving / analysis        (5: traffic tier, this linter)
         <- fleet                     (6: multi-node gossip fusion)
 

@@ -2,7 +2,7 @@
 
 :class:`ProjectContext` is built once per lint run from every parsed
 module (see :func:`repro.analysis.engine.lint_paths` and the incremental
-driver in :mod:`repro.analysis.cache`). It exposes what the CM010-CM012
+driver in :mod:`repro.analysis.cache`). It exposes what the CM010-CM011
 rules need beyond a single file's AST:
 
 - the module set keyed by dotted name, with relative imports already

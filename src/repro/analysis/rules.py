@@ -5,15 +5,14 @@ See the package docstring for the one-line summary of each; the classes
 below document the precise detection logic and its deliberate blind spots.
 CM001–CM008 are per-file rules; CM010–CM011 are *project* rules driven
 with the whole-program :class:`~repro.analysis.project.ProjectContext`
-(import graph, cross-module call resolution), CM012 tracks shm
-lifecycles along straight-line paths within one file, and CM013 keeps
+(import graph, cross-module call resolution), and CM013 keeps
 reconstruction stage calls inside the sanctioned dataflow entry points.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.engine import (
     Finding,
@@ -28,7 +27,7 @@ from repro.analysis.graph import layer_index_of, layer_of
 #: the incremental cache (.crowdlint_cache.json) and the CI cache key are
 #: both keyed on it, so stale cached findings can never survive a rule
 #: change. Format: <highest rule id>.<revision>.
-RULES_VERSION = "cm013.1"
+RULES_VERSION = "cm013.2"
 
 #: Module-level numpy RNG entry points that draw from (or mutate) the
 #: hidden global state. Calling any of these makes a run order-dependent.
@@ -594,16 +593,16 @@ class ParallelSafetyRule(ProjectRule):
     ``.submit()``/``.map()`` on a ``ProcessPoolExecutor`` — and flags,
     inside each:
 
-    - rebinding of a ``global``/``nonlocal`` name (process workers mutate
-      a copy, thread workers race — either way results depend on backend
-      and schedule, breaking twin-run identity);
+    - rebinding of a ``global``/``nonlocal`` name (pool threads race on
+      it, so results depend on the schedule, breaking twin-run identity;
+      a process-pool worker would mutate a private copy instead);
     - in-place mutation of module-level state: subscript/attribute stores
       and mutating method calls (``.append``, ``.update`` …) whose root
       name is bound at module level rather than locally;
     - worker *closures* (lambdas, nested defs) that capture a
       module-level mutable (list/dict/set literal or factory) even
-      read-only — under the process backend the closure sees a stale
-      copy, under threads it races.
+      read-only — under threads the read races every writer (a process
+      worker would see a stale copy).
 
     Cross-module reach is resolved through the project function table
     (``map_parallel(compute.work, ...)`` follows into ``compute``'s
@@ -915,309 +914,6 @@ class ParallelSafetyRule(ProjectRule):
                     )
 
 
-#: Constructors whose instances own shared-memory lifecycles.
-_SHM_CONSTRUCTORS = {
-    "repro.backend.shm.ShmArena",
-    "multiprocessing.shared_memory.SharedMemory",
-}
-
-
-class ShmLifecycleRule(Rule):
-    """CM012: no shm use after close, no handles escaping their arena.
-
-    Straight-line lifecycle tracking per function scope, for names bound
-    to ``ShmArena()`` / ``SharedMemory()`` (resolved through imports, so
-    the defining module itself is naturally exempt):
-
-    - after ``x.close()`` / ``x.unlink()``, any later use of ``x`` on the
-      same straight-line path is flagged (an extra idempotent
-      close/unlink is allowed; rebinding ``x`` resets tracking). Branches
-      merge pessimistically: a close on *any* path poisons the join.
-    - inside ``with ShmArena() as a:``, returning or yielding the arena
-      or a name assigned from one of its method calls (``a.share(...)``)
-      escapes the handle past the arena's unlink — as does using such a
-      name after the ``with`` block exits.
-
-    Deliberate blind spots: loop-carried closes (close in a loop body,
-    use at the next iteration's top), aliasing through containers, and
-    views outliving an *explicit* ``close()`` — the lease machinery keeps
-    those readable until GC, which is documented behaviour.
-    """
-
-    rule_id = "CM012"
-    title = "shared-memory lifecycle misuse"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        findings: List[Finding] = []
-        scopes: List[List[ast.stmt]] = [ctx.tree.body]
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(node.body)
-        for body in scopes:
-            state = _ShmState()
-            self._walk_block(ctx, body, state, findings)
-        findings.sort(key=lambda f: (f.line, f.col))
-        yield from findings
-
-    # -- state ---------------------------------------------------------
-
-    def _is_shm_ctor(self, ctx: ModuleContext, expr: ast.expr) -> bool:
-        return (
-            isinstance(expr, ast.Call)
-            and ctx.resolve_call_name(expr.func) in _SHM_CONSTRUCTORS
-        )
-
-    @staticmethod
-    def _loads(expr: ast.expr) -> Set[str]:
-        return {
-            n.id
-            for n in ast.walk(expr)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        }
-
-    def _derived_from(self, state: "_ShmState", expr: ast.expr) -> Optional[str]:
-        """Arena a value expression derives a handle from, if any.
-
-        Direct arena method calls (``a.share(x)``), aliases of tainted
-        names, and containers/comprehensions of either. Values produced
-        by *other* functions fed tainted arguments are not tracked —
-        consumers usually return plain data, and flagging them would
-        drown the signal.
-        """
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                root = _root_name(node.func.value)
-                if root is not None and root in state.arenas:
-                    return root
-        if isinstance(expr, ast.Name) and expr.id in state.tainted:
-            return state.tainted[expr.id]
-        return None
-
-    def _check_uses(
-        self,
-        ctx: ModuleContext,
-        node: ast.AST,
-        state: "_ShmState",
-        findings: List[Finding],
-        skip: Set[str] = frozenset(),
-    ) -> None:
-        for name in sorted(self._loads(node) - skip):
-            if name in state.closed:
-                findings.append(
-                    self._finding(
-                        ctx, node,
-                        f"'{name}' used after close()/unlink() on line "
-                        f"{state.closed[name]} — every straight-line path "
-                        "must finish with the segment before releasing it",
-                    )
-                )
-            elif name in state.leaked:
-                findings.append(
-                    self._finding(
-                        ctx, node,
-                        f"shm handle '{name}' outlives its arena's with "
-                        f"block (closed on line {state.leaked[name]}) — "
-                        "new attachers can no longer resolve it",
-                    )
-                )
-
-    def _finding(self, ctx: ModuleContext, node: ast.AST, message: str) -> Finding:
-        line = getattr(node, "lineno", 0)
-        return Finding(
-            rule=self.rule_id,
-            path=ctx.path,
-            line=line,
-            col=getattr(node, "col_offset", 0),
-            message=message,
-            severity=self.severity,
-            end_line=getattr(node, "end_lineno", None) or line,
-        )
-
-    # -- block walking -------------------------------------------------
-
-    def _walk_block(
-        self,
-        ctx: ModuleContext,
-        stmts: Sequence[ast.stmt],
-        state: "_ShmState",
-        findings: List[Finding],
-        escape_watch: Optional[Set[str]] = None,
-    ) -> None:
-        for node in stmts:
-            self._walk_stmt(ctx, node, state, findings, escape_watch)
-
-    def _walk_stmt(
-        self,
-        ctx: ModuleContext,
-        node: ast.stmt,
-        state: "_ShmState",
-        findings: List[Finding],
-        escape_watch: Optional[Set[str]],
-    ) -> None:
-        if isinstance(node, ast.Assign):
-            self._check_uses(ctx, node.value, state, findings)
-            names = [
-                t.id for t in node.targets if isinstance(t, ast.Name)
-            ]
-            if self._is_shm_ctor(ctx, node.value):
-                for name in names:
-                    state.bind_arena(name)
-            else:
-                arena = self._derived_from(state, node.value)
-                for name in names:
-                    state.rebind(name)
-                    if arena is not None:
-                        state.tainted[name] = arena
-                        if escape_watch is not None and arena in escape_watch:
-                            escape_watch.add(name)
-            return
-        if isinstance(node, (ast.Return, ast.Expr)) and isinstance(
-            getattr(node, "value", None), (ast.Yield, ast.YieldFrom)
-        ) or isinstance(node, ast.Return):
-            value = node.value
-            if isinstance(value, (ast.Yield, ast.YieldFrom)):
-                value = value.value
-            if value is not None:
-                self._check_uses(ctx, value, state, findings)
-                if escape_watch:
-                    hit = sorted(self._loads(value) & escape_watch)
-                    if hit:
-                        findings.append(
-                            self._finding(
-                                ctx, node,
-                                f"shm handle '{hit[0]}' escapes its arena's "
-                                "with scope — the arena unlinks on exit, so "
-                                "receivers cannot attach; share into a "
-                                "longer-lived arena instead",
-                            )
-                        )
-            return
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-            call = node.value
-            if (
-                isinstance(call.func, ast.Attribute)
-                and call.func.attr in ("close", "unlink")
-                and isinstance(call.func.value, ast.Name)
-                and call.func.value.id in state.arenas
-            ):
-                # Idempotent re-close of an already-closed segment is fine.
-                self._check_uses(
-                    ctx, call, state, findings, skip={call.func.value.id}
-                )
-                state.closed[call.func.value.id] = node.lineno
-                return
-            self._check_uses(ctx, node.value, state, findings)
-            return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            self._walk_with(ctx, node, state, findings, escape_watch)
-            return
-        if isinstance(node, ast.If):
-            self._check_uses(ctx, node.test, state, findings)
-            then_state = state.copy()
-            else_state = state.copy()
-            self._walk_block(ctx, node.body, then_state, findings, escape_watch)
-            self._walk_block(ctx, node.orelse, else_state, findings, escape_watch)
-            state.merge(then_state, else_state)
-            return
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            header = node.iter if isinstance(node, (ast.For, ast.AsyncFor)) \
-                else node.test
-            self._check_uses(ctx, header, state, findings)
-            body_state = state.copy()
-            self._walk_block(ctx, node.body, body_state, findings, escape_watch)
-            self._walk_block(ctx, node.orelse, body_state, findings, escape_watch)
-            state.merge(body_state)
-            return
-        if isinstance(node, ast.Try):
-            self._walk_block(ctx, node.body, state, findings, escape_watch)
-            for handler in node.handlers:
-                handler_state = state.copy()
-                self._walk_block(
-                    ctx, handler.body, handler_state, findings, escape_watch
-                )
-                state.merge(handler_state)
-            self._walk_block(ctx, node.orelse, state, findings, escape_watch)
-            self._walk_block(ctx, node.finalbody, state, findings, escape_watch)
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return  # nested scopes are walked as their own top-level scope
-        self._check_uses(ctx, node, state, findings)
-
-    def _walk_with(
-        self,
-        ctx: ModuleContext,
-        node: ast.stmt,
-        state: "_ShmState",
-        findings: List[Finding],
-        escape_watch: Optional[Set[str]],
-    ) -> None:
-        opened: List[str] = []
-        for item in node.items:
-            self._check_uses(ctx, item.context_expr, state, findings)
-            if item.optional_vars is None or not isinstance(
-                item.optional_vars, ast.Name
-            ):
-                continue
-            name = item.optional_vars.id
-            is_arena_expr = self._is_shm_ctor(ctx, item.context_expr) or (
-                isinstance(item.context_expr, ast.Name)
-                and item.context_expr.id in state.arenas
-            )
-            if is_arena_expr:
-                state.bind_arena(name)
-                opened.append(name)
-            else:
-                state.rebind(name)
-        watch = set(escape_watch or set()) | set(opened)
-        self._walk_block(ctx, node.body, state, findings, watch)
-        # The with-exit closes these arenas and unlinks their segments.
-        for name in opened:
-            state.closed[name] = node.end_lineno or node.lineno
-        for name, arena in sorted(state.tainted.items()):
-            if arena in opened:
-                state.leaked[name] = node.end_lineno or node.lineno
-
-
-class _ShmState:
-    """Lifecycle facts along one straight-line path."""
-
-    def __init__(self) -> None:
-        self.arenas: Set[str] = set()
-        self.closed: Dict[str, int] = {}
-        self.tainted: Dict[str, str] = {}
-        self.leaked: Dict[str, int] = {}
-
-    def bind_arena(self, name: str) -> None:
-        self.rebind(name)
-        self.arenas.add(name)
-
-    def rebind(self, name: str) -> None:
-        self.arenas.discard(name)
-        self.closed.pop(name, None)
-        self.tainted.pop(name, None)
-        self.leaked.pop(name, None)
-
-    def copy(self) -> "_ShmState":
-        clone = _ShmState()
-        clone.arenas = set(self.arenas)
-        clone.closed = dict(self.closed)
-        clone.tainted = dict(self.tainted)
-        clone.leaked = dict(self.leaked)
-        return clone
-
-    def merge(self, *branches: "_ShmState") -> None:
-        """Pessimistic join: closed/leaked on any branch stays closed."""
-        for branch in branches:
-            self.arenas |= branch.arenas
-            for name, line in branch.closed.items():
-                self.closed.setdefault(name, line)
-            self.tainted.update(branch.tainted)
-            for name, line in branch.leaked.items():
-                self.leaked.setdefault(name, line)
-
-
 #: Stage entry points the dataflow planner owns. Bare names are resolved
 #: through the module's imports; ``self.``-rooted chains are matched on
 #: their dotted tail (the pipeline's stage components).
@@ -1332,6 +1028,5 @@ ALL_RULES: Sequence[Rule] = (
     EvalClockRule(),
     LayeringRule(),
     ParallelSafetyRule(),
-    ShmLifecycleRule(),
     CascadeRegrowthRule(),
 )

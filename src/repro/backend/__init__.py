@@ -10,8 +10,9 @@ trajectory aggregation. This package reproduces that dataflow in-process:
   MongoDB-style filters (the raw-data landing zone);
 - :mod:`repro.backend.queue` — a task queue with retry/ack semantics;
 - :mod:`repro.backend.scheduler` — a simulated-clock periodic scheduler;
-- :mod:`repro.backend.workers` — a worker pool running pipeline stages in
-  parallel (threads), standing in for the Spark job;
+- :mod:`repro.backend.workers` — serial or thread-pool maps for pipeline
+  stages, plus a thread pool draining the task queue, standing in for
+  the Spark job (all in the caller's address space);
 - :mod:`repro.backend.server` — the ingest server tying upload, reassembly
   and storage together;
 - :mod:`repro.backend.faults` — seeded fault injection (chaos testing the

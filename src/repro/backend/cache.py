@@ -13,8 +13,7 @@ signatures. This module provides that memo layer:
   from — and a threshold change invalidates exactly the results it
   affects.
 - **Storage** is an LRU-bounded in-memory map, optionally write-through
-  to a content-addressed directory on disk (survives process restarts;
-  shared by worker processes).
+  to a content-addressed directory on disk (survives process restarts).
 - **Modes** come from the ``CROWDMAP_CACHE`` env switch: ``off`` (every
   call recomputes), ``memory`` (the default) or ``disk``.
   ``CROWDMAP_CACHE_DIR`` relocates the disk store (default
@@ -184,15 +183,6 @@ class ResultCache:
         self.cache_dir = cache_dir or _DEFAULT_CACHE_DIR
         self.telemetry = telemetry or default_registry
         self._entries: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     # -- counters ------------------------------------------------------

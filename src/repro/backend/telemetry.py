@@ -20,26 +20,7 @@ _DEFAULT_BUCKETS = (
 )
 
 
-class _Picklable:
-    """Drop the (unpicklable) lock on pickle; rebuild it on unpickle.
-
-    The process worker backend ships job callables to worker processes;
-    anything they close over — including metrics and registries — must
-    survive a pickle round-trip. Worker-side mutations stay worker-local
-    (processes do not share memory); the parent aggregates results.
-    """
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-
-class Counter(_Picklable):
+class Counter:
     """Monotonically increasing counter."""
 
     def __init__(self, name: str, help_text: str = ""):
@@ -59,7 +40,7 @@ class Counter(_Picklable):
         return self._value
 
 
-class Gauge(_Picklable):
+class Gauge:
     """A value that can go up and down (queue depth, workers busy)."""
 
     def __init__(self, name: str, help_text: str = ""):
@@ -85,7 +66,7 @@ class Gauge(_Picklable):
         return self._value
 
 
-class Histogram(_Picklable):
+class Histogram:
     """Cumulative-bucket histogram (Prometheus-style) plus sum/count.
 
     Besides the buckets, every observation is retained verbatim so
@@ -171,7 +152,7 @@ class Histogram(_Picklable):
         return self.buckets[-1]
 
 
-class TelemetryRegistry(_Picklable):
+class TelemetryRegistry:
     """Named metric registry with a text scrape."""
 
     def __init__(self) -> None:

@@ -6,47 +6,32 @@ user trajectories aggregation". The equivalent here is a pluggable-backend
 scoring, per-room layout generation) plus a thread pool that drains a
 :class:`~repro.backend.queue.TaskQueue` through per-kind handlers.
 
-Three map backends:
+Two map backends, both in the caller's address space, so no frame is
+ever copied to another process (the paper's Spark executors likewise
+keep frames local):
 
 - ``"serial"`` — plain loop in the calling thread. With the vectorized
   kernels most stages are memory-bound numpy; on small fan-outs this
-  beats both pools.
+  beats the pool.
 - ``"thread"`` — a thread pool. Only pays off where numpy actually
-  releases the GIL for long stretches.
-- ``"process"`` — a process pool with *chunked* submission: items are
-  grouped into ``workers * 4`` chunks so the callable is pickled once
-  per chunk, not once per item. Exceptions are pickle-round-trip
-  checked worker-side; ones that cannot cross the process boundary
-  come back as :class:`WorkerTransportError` carrying the original
-  type name and message.
-
-The process backend additionally supports zero-copy **transport**
-(``transport="auto"|"shm"|"pickle"``): under ``shm`` (or ``auto`` with
-shared memory available) the items are walked through a per-call
-:class:`~repro.backend.shm.ShmArena` before submission, so every large
-array crosses the pool boundary as a segment handle instead of pickled
-bytes. The arena is closed — and its segments unlinked — before the
-call returns, win or lose. Results stream back in input order through
-an optional ``consume`` callback, which lets a caller overlap its own
-follow-up work (e.g. SURF extraction for finished sessions) with the
-chunks still executing.
+  releases the GIL for long stretches. Workers share the caller's
+  objects, so worker code must not mutate shared state (crowdlint
+  CM011).
 
 Failure semantics are backend-independent: a queue handler exception
 nacks the task, which the queue retries with backoff until it
 dead-letters; :func:`map_parallel` defaults to fail-fast
 (``on_error="raise"``) but can shed bad items (``on_error="skip"``), and
 :func:`map_with_failures` reports every failure with its input index so
-the pipeline can quarantine exactly the sessions that broke — under any
-backend.
+the pipeline can quarantine exactly the sessions that broke — under
+either backend.
 """
 
 from __future__ import annotations
 
-import math
-import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.backend.queue import Task, TaskQueue
@@ -56,71 +41,19 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Valid values for the ``backend`` argument / ``worker_backend`` config.
-MAP_BACKENDS = ("serial", "thread", "process")
-
-#: Valid values for the ``transport`` argument / ``worker_transport``
-#: config. "auto" means shared memory when the platform has it, pickle
-#: otherwise; serial and thread backends have no boundary to transport
-#: across and ignore it.
-MAP_TRANSPORTS = ("auto", "shm", "pickle")
-
-#: Target chunks per worker for the process backend — enough chunks that
-#: an uneven item-cost distribution still balances, few enough that the
-#: per-chunk pickle of the callable is amortized over many items.
-_CHUNKS_PER_WORKER = 4
+MAP_BACKENDS = ("serial", "thread")
 
 
-class WorkerTransportError(RuntimeError):
-    """Stands in for a worker exception that could not be pickled back.
+def _attempt(function: Callable[[T], R], item: T) -> Tuple[bool, Any]:
+    """``(True, result)`` or ``(False, exception)`` for one item.
 
-    Carries the original exception's type name and message so quarantine
-    reports stay meaningful even when the original object cannot cross
-    the process boundary.
+    The encoding keeps results and exceptions in input order without
+    raising out of a pool worker.
     """
-
-    def __init__(self, exc_type: str, message: str):
-        # args must mirror the constructor signature so the stand-in
-        # itself survives the pickle trip it exists to make possible.
-        super().__init__(exc_type, message)
-        self.exc_type = exc_type
-        self.message = message
-
-    def __str__(self) -> str:
-        return f"{self.exc_type}: {self.message}"
-
-
-def _portable_exception(exc: Exception) -> Exception:
-    """The exception itself if it survives pickling, else a stand-in."""
     try:
-        roundtripped = pickle.loads(pickle.dumps(exc))
-        if isinstance(roundtripped, Exception):
-            return exc
-    except Exception:  # noqa: BLE001  # crowdlint: allow[CM003] any pickle failure means "not portable"; the returned WorkerTransportError preserves the original error's type and message
-        pass
-    return WorkerTransportError(type(exc).__name__, str(exc))
-
-
-def _run_chunk(
-    function: Callable[[T], R], chunk: Sequence[T]
-) -> List[Tuple[bool, Any]]:
-    """Apply ``function`` to a chunk, capturing per-item success/failure.
-
-    Module-level so the process backend can pickle it; the ``(ok, value)``
-    encoding keeps result and exception streams in input order without
-    raising across the pool boundary.
-    """
-    out: List[Tuple[bool, Any]] = []
-    for item in chunk:
-        try:
-            out.append((True, function(item)))
-        except Exception as exc:  # noqa: BLE001  # crowdlint: allow[CM003] the (ok, exc) encoding defers the raise/skip/quarantine decision to the caller, which re-raises under on_error="raise"
-            out.append((False, _portable_exception(exc)))
-    return out
-
-
-#: Per-item streaming callback: ``consume(index, ok, value)`` fires in
-#: input order as results land, while later chunks may still be running.
-ConsumeFn = Callable[[int, bool, Any], None]
+        return True, function(item)
+    except Exception as exc:  # noqa: BLE001  # crowdlint: allow[CM003] the (ok, exc) encoding defers the raise/skip/quarantine decision to the caller, which re-raises under on_error="raise"
+        return False, exc
 
 
 def _execute(
@@ -128,8 +61,6 @@ def _execute(
     items: Sequence[T],
     max_workers: int,
     backend: str,
-    transport: str = "auto",
-    consume: Optional[ConsumeFn] = None,
 ) -> List[Tuple[bool, Any]]:
     """Run ``function`` over ``items`` on the chosen backend.
 
@@ -140,64 +71,10 @@ def _execute(
         raise ValueError(
             f"backend must be one of {MAP_BACKENDS}, got {backend!r}"
         )
-    if transport not in MAP_TRANSPORTS:
-        raise ValueError(
-            f"transport must be one of {MAP_TRANSPORTS}, got {transport!r}"
-        )
-
-    def emit(start: int, pairs: List[Tuple[bool, Any]]) -> None:
-        if consume is not None:
-            for offset, (ok, value) in enumerate(pairs):
-                consume(start + offset, ok, value)
-
-    n = len(items)
-    if backend == "serial" or max_workers <= 1 or n == 1:
-        out: List[Tuple[bool, Any]] = []
-        for idx, item in enumerate(items):
-            pair = _run_chunk(function, (item,))
-            emit(idx, pair)
-            out.extend(pair)
-        return out
-    if backend == "thread":
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results: List[Tuple[bool, Any]] = []
-            for idx, chunk in enumerate(
-                pool.map(lambda item: _run_chunk(function, (item,)), items)
-            ):
-                emit(idx, chunk)
-                results.extend(chunk)
-            return results
-    # Process backend: chunk to amortize pickling of the callable and of
-    # per-item overhead across the pool boundary. Under shm transport the
-    # items are shared into an arena first, so their large arrays cross
-    # the boundary as handles; the arena is torn down before returning,
-    # which also guarantees no segment outlives the call.
-    from repro.backend.shm import ShmArena, shm_enabled
-
-    use_shm = transport == "shm" or (transport == "auto" and shm_enabled())
-    arena: Optional[ShmArena] = None
-    send: Sequence[Any] = items
-    try:
-        if use_shm:
-            arena = ShmArena()
-            if arena.enabled:
-                with default_registry.timer("shm_share_seconds"):
-                    memo: Dict[int, Any] = {}
-                    send = [arena.share(item, memo) for item in items]
-        chunk_size = max(1, math.ceil(n / (max_workers * _CHUNKS_PER_WORKER)))
-        chunks = [send[i : i + chunk_size] for i in range(0, n, chunk_size)]
-        workers = min(max_workers, len(chunks))
-        results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk_pairs in pool.map(
-                _run_chunk, [function] * len(chunks), chunks
-            ):
-                emit(len(results), chunk_pairs)
-                results.extend(chunk_pairs)
-        return results
-    finally:
-        if arena is not None:
-            arena.close()
+    if backend == "serial" or max_workers <= 1 or len(items) == 1:
+        return [_attempt(function, item) for item in items]
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(lambda item: _attempt(function, item), items))
 
 
 def map_parallel(
@@ -207,8 +84,6 @@ def map_parallel(
     on_error: str = "raise",
     telemetry: Optional[TelemetryRegistry] = None,
     backend: str = "thread",
-    transport: str = "auto",
-    consume: Optional[ConsumeFn] = None,
 ) -> List[R]:
     """Apply ``function`` to every item in parallel, preserving order.
 
@@ -219,14 +94,8 @@ def map_parallel(
     ``map_parallel_items_skipped`` telemetry counter — the mode the
     pipeline's fault-tolerant stages use to shed corrupt sessions.
 
-    ``backend`` selects serial, thread-pool or chunked process-pool
-    execution (see module docstring); semantics are identical across
-    backends, modulo process-unpicklable exceptions surfacing as
-    :class:`WorkerTransportError`. ``transport`` picks the process-pool
-    wire format (shared-memory handles vs pickled bytes) and ``consume``
-    streams ``(index, ok, value)`` triples back in input order as they
-    complete — both are no-ops for serial/thread execution apart from
-    the streaming calls themselves.
+    ``backend`` selects serial or thread-pool execution (see module
+    docstring); semantics are identical across backends.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -235,9 +104,7 @@ def map_parallel(
 
     registry = telemetry or default_registry
     results: List[R] = []
-    for ok, value in _execute(
-        function, items, max_workers, backend, transport, consume
-    ):
+    for ok, value in _execute(function, items, max_workers, backend):
         if ok:
             results.append(value)
         elif on_error == "raise":
@@ -255,24 +122,22 @@ def map_with_failures(
     items: Sequence[T],
     max_workers: int = 4,
     backend: str = "thread",
-    transport: str = "auto",
-    consume: Optional[ConsumeFn] = None,
 ) -> Tuple[List[Tuple[int, R]], List[Tuple[int, Exception]]]:
     """Like ``map_parallel(on_error="skip")`` but the failures come back.
 
     Returns ``(successes, failures)`` where each entry is paired with the
     item's original index, so callers that must *report* which items were
     quarantined (rather than silently shedding them) can reconstruct
-    both streams in input order. ``backend``, ``transport`` and
-    ``consume`` behave as in :func:`map_parallel`; quarantine semantics
-    are preserved under all three backends and both transports.
+    both streams in input order. ``backend`` behaves as in
+    :func:`map_parallel`; quarantine semantics are the same under both
+    backends.
     """
     if not items:
         return [], []
     successes: List[Tuple[int, R]] = []
     failures: List[Tuple[int, Exception]] = []
     for idx, (ok, value) in enumerate(
-        _execute(function, items, max_workers, backend, transport, consume)
+        _execute(function, items, max_workers, backend)
     ):
         if ok:
             successes.append((idx, value))

@@ -191,16 +191,10 @@ def _bench_dataset(profile: str):
     return generate_crowd_dataset(build_lab1(), crowd)
 
 
-def _session_id(session) -> str:
-    """Top-level no-op worker task (picklable) for transport benchmarks."""
-    return session.session_id
-
-
 def _pipeline_benches(profile: str) -> List[Tuple[str, Callable[[], object], int, str]]:
     from repro.backend.cache import ResultCache, set_cache
     from repro.core.config import AGGRESSIVE_PRESCREEN_THRESHOLD, CrowdMapConfig
     from repro.core.pipeline import CrowdMapPipeline
-    from repro.backend.workers import map_parallel
 
     quick_dataset = _bench_dataset("quick")
 
@@ -221,45 +215,6 @@ def _pipeline_benches(profile: str) -> List[Tuple[str, Callable[[], object], int
     benches: List[Tuple[str, Callable[[], object], int, str]] = [
         ("pipeline_lab1_quick", cold_runner(quick_dataset, serial), n, sel),
         ("pipeline_lab1_quick_cached_rerun", warm_runner(quick_dataset, serial), n, sel),
-        # Same cold run fanned out over the process backend: "parallel"
-        # ships frames as shared-memory handles (zero-copy transport),
-        # "parallel_pickle" forces the serialized fallback — their gap is
-        # what the shm arena buys end-to-end.
-        (
-            "pipeline_lab1_parallel",
-            cold_runner(
-                quick_dataset,
-                CrowdMapConfig(worker_backend="process", worker_transport="shm"),
-            ),
-            n, sel,
-        ),
-        (
-            "pipeline_lab1_parallel_pickle",
-            cold_runner(
-                quick_dataset,
-                CrowdMapConfig(worker_backend="process", worker_transport="pickle"),
-            ),
-            n, sel,
-        ),
-        # Transport in isolation: fan the quick dataset's sessions out to
-        # process workers that do no work, so the timing is purely
-        # executor + frame transport (the paper's Spark shuffle analog).
-        (
-            "frames_transport_shm",
-            lambda: map_parallel(
-                _session_id, quick_dataset.sessions,
-                max_workers=4, backend="process", transport="shm",
-            ),
-            3, "median",
-        ),
-        (
-            "frames_transport_pickle",
-            lambda: map_parallel(
-                _session_id, quick_dataset.sessions,
-                max_workers=4, backend="process", transport="pickle",
-            ),
-            3, "median",
-        ),
     ]
     if profile == "full":
         full_dataset = _bench_dataset("full")

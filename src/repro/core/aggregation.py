@@ -373,6 +373,7 @@ class SequenceAggregator:
             ),
             pairs,
             max_workers=self.config.n_workers,
+            backend=self.config.worker_backend,
         )
         return register_candidates(anchored, list(candidates))
 

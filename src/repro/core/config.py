@@ -143,22 +143,13 @@ class CrowdMapConfig:
     n_workers: int = 4
     #: Execution backend for the parallel map stages: "serial" (plain
     #: loop — fastest for the vectorized, memory-bound kernels at small
-    #: fan-out), "thread" or "process" (chunked ProcessPoolExecutor; the
-    #: only option that sidesteps the GIL for Python-heavy stages).
+    #: fan-out) or "thread" (a thread pool in the same address space;
+    #: pays off only where numpy releases the GIL).
     worker_backend: str = "serial"
-    #: Transport for the process backend: "shm" ships frame arrays as
-    #: shared-memory handles (zero-copy), "pickle" serializes them, and
-    #: "auto" (default) uses shared memory whenever the platform supports
-    #: it. Ignored by the serial and thread backends.
-    worker_transport: str = "auto"
     #: Frames per batch for the batched vision kernels (key-frame HOG
     #: misses, SURF prefetch). Batches amortize numpy dispatch overhead;
     #: the cap keeps a stacked batch's working set cache-resident.
     kernel_batch_size: int = 16
-    #: Compute SURF features for key-frames in shape-grouped batches as
-    #: soon as each session's key-frames are selected (stage-level
-    #: pipelining), instead of one frame at a time on first comparison.
-    surf_prefetch: bool = True
     #: RNG seed for the stochastic stages (layout sampling).
     seed: int = 0
 

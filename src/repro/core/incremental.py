@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.backend.workers import map_parallel
@@ -39,21 +38,6 @@ from repro.core.pipeline import ReconstructionResult, _trajectory_bounds
 from repro.core.room_layout import RoomLayout, RoomLayoutEstimator
 from repro.core.skeleton import reconstruct_skeleton
 from repro.geometry.primitives import Point
-
-
-def _score_pair_job(
-    aggregator: SequenceAggregator,
-    newcomer: AnchoredTrajectory,
-    new_index: int,
-    indexed: Tuple[int, AnchoredTrajectory],
-) -> MergeCandidate:
-    """Score one (existing, newcomer) pair.
-
-    Module-level (bound via :func:`functools.partial`) so the job pickles
-    under the process worker backend — a closure or lambda would not.
-    """
-    i, anchored = indexed
-    return aggregator.score_pair(anchored, newcomer, i, new_index)
 
 
 @dataclass
@@ -113,7 +97,9 @@ class IncrementalCrowdMap:
         # Score only the new session against the existing corpus.
         pairs = list(enumerate(self._anchored[:new_index]))
         scored = map_parallel(
-            partial(_score_pair_job, self.aggregator, newcomer, new_index),
+            lambda pair: self.aggregator.score_pair(
+                pair[1], newcomer, pair[0], new_index
+            ),
             pairs,
             max_workers=self.config.n_workers,
             backend=self.config.worker_backend,

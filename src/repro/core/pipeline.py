@@ -35,12 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.backend.telemetry import TelemetryRegistry, default_registry
-from repro.backend.workers import (
-    MAP_BACKENDS,
-    MAP_TRANSPORTS,
-    map_parallel,
-    map_with_failures,
-)
+from repro.backend.workers import MAP_BACKENDS, map_parallel, map_with_failures
 from repro.core.aggregation import (
     AggregationResult,
     AnchoredTrajectory,
@@ -129,11 +124,6 @@ class CrowdMapPipeline:
                 f"worker_backend must be one of {MAP_BACKENDS}, got "
                 f"{self.config.worker_backend!r}"
             )
-        if self.config.worker_transport not in MAP_TRANSPORTS:
-            raise ValueError(
-                f"worker_transport must be one of {MAP_TRANSPORTS}, got "
-                f"{self.config.worker_transport!r}"
-            )
         self.telemetry = telemetry or default_registry
         self.comparator = KeyframeComparator(self.config)
         self.aggregator = SequenceAggregator(self.config, self.comparator)
@@ -164,23 +154,11 @@ class CrowdMapPipeline:
         self, sessions: List[CaptureSession]
     ) -> Tuple[List[AnchoredTrajectory], AggregationResult, SkeletonResult,
                List[StageFailure]]:
-        # Stage-level pipelining: as each session's key-frame selection
-        # streams back from the worker map, SURF runs on its key-frames
-        # (batched by shape) while later sessions are still being
-        # selected — so by the time aggregation compares key-frames,
-        # their features are already in the cache.
-        consume = None
-        if self.config.surf_prefetch:
-            def consume(index: int, ok: bool, value) -> None:
-                if ok and value is not None:
-                    prefetch_surf(value.keyframes, self.config)
         if self._quarantine:
             successes, errors = map_with_failures(
                 self.anchor_session, sessions,
                 max_workers=self.config.n_workers,
                 backend=self.config.worker_backend,
-                transport=self.config.worker_transport,
-                consume=consume,
             )
             anchored = [result for _, result in successes]
             failures = []
@@ -203,10 +181,14 @@ class CrowdMapPipeline:
                 self.anchor_session, sessions,
                 max_workers=self.config.n_workers,
                 backend=self.config.worker_backend,
-                transport=self.config.worker_transport,
-                consume=consume,
             )
             failures = []
+        # SURF for every anchored session's key-frames in shape-grouped
+        # batches, before aggregation compares them; the planner instead
+        # pulls SURF lazily per frame, so this reference keeps the two
+        # paths checked against each other.
+        for one in anchored:
+            prefetch_surf(one.keyframes, self.config)
         aggregation = self.aggregator.aggregate(anchored)
         if anchored and self.config.drift_calibration_iterations > 0:
             trajectories = calibrate_drift(
@@ -319,7 +301,6 @@ class CrowdMapPipeline:
                 self.build_room, groups,
                 max_workers=self.config.n_workers,
                 backend=self.config.worker_backend,
-                transport=self.config.worker_transport,
             )
             results = [result for _, result in successes]
             failures = []
@@ -342,7 +323,6 @@ class CrowdMapPipeline:
                 self.build_room, groups,
                 max_workers=self.config.n_workers,
                 backend=self.config.worker_backend,
-                transport=self.config.worker_transport,
             )
             failures = []
         panoramas, layouts = [], []

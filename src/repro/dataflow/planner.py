@@ -19,11 +19,13 @@ construction. What changes is scheduling:
   tails; the global pass doesn't). The fused pass fills the same
   per-frame ``hog`` cache slots selection reads, so values are
   bit-identical to the per-session path.
-- **Serial pair scoring and lazy SURF.** On the 1-core bench box the
+- **In-line pair scoring and lazy SURF.** On the 1-core bench box the
   thread-pool pair map and the eager SURF prefetch both cost more than
-  they save; the planner scores pairs in-line and lets comparison pull
-  SURF features lazily (both bit-identical — same kernels, same order).
-  Parallel backends keep the legacy fan-out + prefetch pipelining.
+  they save; on every backend the planner scores pairs in-line and lets
+  comparison pull SURF features lazily (both bit-identical — same
+  kernels, same order). The reference cascade keeps the batched
+  prefetch, so the identity tests check the two SURF paths against
+  each other.
 
 The aggressive profile is plain config (a positive
 ``keyframe_prescreen_threshold``). Every node key fingerprints the
@@ -132,10 +134,6 @@ class DataflowPlanner:
             "dataflow nodes whose kernels actually ran",
         ).inc()
 
-    @property
-    def _serial(self) -> bool:
-        return self.config.worker_backend == "serial"
-
     def _fused_hog_pass(
         self,
         sessions: Sequence[Any],
@@ -145,11 +143,12 @@ class DataflowPlanner:
     ) -> None:
         """One global gray→blur→HOG pass over every pending session.
 
-        Only under the serial backend (process workers compute HOGs in
-        their own address spaces) and only when caching is enabled (the
-        pass communicates with selection through the ``hog`` cache
-        slots). Sessions that fail the validity screen are left for
-        selection to quarantine.
+        Only under the serial backend (the fused pass runs in the calling
+        thread, so under the thread backend it would serialize the
+        per-session HOG work the pool spreads out) and only when caching
+        is enabled (the pass communicates with selection through the
+        ``hog`` cache slots). Sessions that fail the validity screen are
+        left for selection to quarantine.
 
         Each session's shared frame-stack node is accounted here: a
         marker hit means a previous run already pushed this content
@@ -196,7 +195,6 @@ class DataflowPlanner:
             calibrate_drift,
             register_candidates,
         )
-        from repro.core.keyframes import prefetch_surf
         from repro.core.skeleton import reconstruct_skeleton
 
         global _last_report
@@ -205,7 +203,7 @@ class DataflowPlanner:
         pipeline = self.pipeline
         config = self.config
         quarantine = config.pipeline_on_error == "quarantine"
-        fuse = self._serial and cache.enabled
+        fuse = config.worker_backend == "serial" and cache.enabled
 
         plan = build_plan(pipeline, sessions)
         report = PlanReport()
@@ -228,21 +226,10 @@ class DataflowPlanner:
             miss_sessions = [plan.sws_sessions[i] for i in kf_miss]
             if fuse:
                 self._fused_hog_pass(miss_sessions, plan, cache, report)
-            consume = None
-            if config.surf_prefetch and not self._serial:
-                # Parallel backends keep the legacy stage pipelining:
-                # SURF runs on each session's key-frames in the parent
-                # while later sessions still stream back. Serially, lazy
-                # per-comparison SURF computes strictly fewer frames.
-                def consume(index: int, ok: bool, value: Any) -> None:
-                    if ok and value is not None:
-                        prefetch_surf(value.keyframes, config)
             successes, errors = rt.map_with_failures(
                 pipeline.anchor_session, miss_sessions,
                 max_workers=config.n_workers,
                 backend=config.worker_backend,
-                transport=config.worker_transport,
-                consume=consume,
             )
             # pipeline_on_error="raise": fail fast with the first error in
             # input order, before any node of the phase is stored.
@@ -339,7 +326,6 @@ class DataflowPlanner:
                 pipeline.build_room, miss_groups,
                 max_workers=config.n_workers,
                 backend=config.worker_backend,
-                transport=config.worker_transport,
             )
             if errors and not quarantine:
                 raise errors[0][1]

@@ -52,8 +52,8 @@ def parse_overrides(pairs) -> dict:
     """``field=value`` strings -> keyword dict for ``with_overrides``.
 
     Values parse as Python literals when possible (``min_visits=3``,
-    ``surf_prefetch=False``) and fall back to plain strings
-    (``worker_backend=process``).
+    ``keyframe_prescreen_threshold=0.11``) and fall back to plain strings
+    (``worker_backend=thread``).
     """
     overrides = {}
     for pair in pairs or ():

@@ -442,12 +442,6 @@ _RULE_TRIGGERS = {
               "def run(items):\n"
               "    return map_parallel(w, items)\n",
               "src/repro/core/x.py", None, None),
-    "CM012": ("from repro.backend.shm import ShmArena\n"
-              "def f(p):\n"
-              "    a = ShmArena()\n"
-              "    a.close()\n"
-              "    return a.put(p)\n",
-              "src/repro/core/x.py", None, None),
     "CM013": ("def probe(frames, config):\n"
               "    return select_keyframes(frames, config)\n",
               "src/repro/core/pipeline.py", None, None),

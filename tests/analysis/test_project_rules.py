@@ -1,8 +1,8 @@
 """Whole-program rule tests: CM010 layering, CM011 parallel safety,
-CM012 shm lifecycle, plus the project graph they share.
+plus the project graph they share.
 
-Standalone fixtures (``cm011_*``, ``cm012_*``) lint as single-module
-projects; the ``cmproj`` package lints as a real multi-module project via
+Standalone fixtures (``cm011_*``) lint as single-module projects; the
+``cmproj`` package lints as a real multi-module project via
 ``lint_paths`` — its *relative* imports only resolve because the engine
 rewrites them against each file's package, so these tests also lock in
 that satellite fix.
@@ -89,7 +89,7 @@ class TestLayerResolution:
 
 
 class TestStandaloneFixtures:
-    @pytest.mark.parametrize("name", ["cm011", "cm012"])
+    @pytest.mark.parametrize("name", ["cm011"])
     def test_violating_fixture_matches_markers(self, name):
         path = FIXTURES / f"{name}_violating.py"
         expected = expected_markers(path)
@@ -97,7 +97,7 @@ class TestStandaloneFixtures:
         found = sorted((f.rule, f.line) for f in lint_fixture(path))
         assert found == expected
 
-    @pytest.mark.parametrize("name", ["cm011", "cm012"])
+    @pytest.mark.parametrize("name", ["cm011"])
     def test_clean_fixture_has_no_findings(self, name):
         path = FIXTURES / f"{name}_clean.py"
         findings = lint_fixture(path)
@@ -111,13 +111,6 @@ class TestStandaloneFixtures:
         assert any("map_with_failures()" in m for m in messages)
         assert any("captures mutable module-level 'RESULTS'" in m
                    for m in messages)
-
-    def test_cm012_findings_explain_the_hazard(self):
-        findings = lint_fixture(FIXTURES / "cm012_violating.py")
-        messages = [f.message for f in findings]
-        assert any("used after close()/unlink()" in m for m in messages)
-        assert any("escapes its arena's with scope" in m for m in messages)
-        assert any("outlives its arena's with block" in m for m in messages)
 
 
 class TestCmprojPackage:

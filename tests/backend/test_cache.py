@@ -132,14 +132,13 @@ class TestContentKeys:
     def test_array_digest_zero_copy_paths_agree(self):
         """Every buffer layout of the same content digests identically.
 
-        The digest feeds the content-addressed cache from both the
-        serial path (plain contiguous arrays) and the shm path
-        (read-only views, strided slices): a layout-dependent digest
-        would silently split cache slots between transports.
+        The digest feeds the content-addressed cache from plain
+        contiguous arrays as well as read-only views and strided slices:
+        a layout-dependent digest would silently split cache slots
+        between equal contents.
         """
         base = np.random.default_rng(3).standard_normal((32, 48))
         reference = array_digest(np.ascontiguousarray(base))
-        # Read-only view (how shm-backed frames arrive in workers).
         readonly = base.copy()
         readonly.setflags(write=False)
         assert array_digest(readonly) == reference
@@ -262,7 +261,7 @@ class TestDiskTier:
 
 
 # ----------------------------------------------------------------------
-# Pipeline equivalence: caching and worker backends must be invisible
+# Pipeline equivalence: caching must be invisible
 # ----------------------------------------------------------------------
 
 
@@ -274,17 +273,6 @@ def _small_dataset():
         build_lab1(),
         CrowdConfig(n_users=2, sws_per_user=1, srs_rooms_per_user=1, seed=11),
     )
-
-
-def _run(dataset, cache_mode: str, worker_backend: str = "serial"):
-    from repro.core.pipeline import CrowdMapPipeline
-
-    set_cache(ResultCache(mode=cache_mode, telemetry=TelemetryRegistry()))
-    try:
-        config = CrowdMapConfig(worker_backend=worker_backend)
-        return CrowdMapPipeline(config).run(dataset)
-    finally:
-        set_cache(None)
 
 
 def _assert_reconstructions_identical(a, b):
@@ -336,8 +324,3 @@ class TestPipelineEquivalence:
         # The warm rerun actually hit the memo layer.
         assert cache.telemetry.value("cache_hits") > 0
 
-    def test_process_backend_matches_serial(
-        self, equivalence_dataset, uncached_reference
-    ):
-        result = _run(equivalence_dataset, cache_mode="off", worker_backend="process")
-        _assert_reconstructions_identical(result, uncached_reference)

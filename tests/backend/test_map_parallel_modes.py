@@ -1,6 +1,7 @@
 """map_parallel edge cases: error modes, ordering, contention."""
 
 import random
+import re
 import time
 
 import pytest
@@ -82,6 +83,10 @@ class TestMapParallelModes:
     def test_single_item_runs_inline(self):
         result = map_parallel(lambda x: x * 2, [21], max_workers=8)
         assert result == [42]
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("('serial', 'thread')")):
+            map_parallel(lambda x: x, [1, 2], backend="process")
 
 
 class TestMapWithFailures:

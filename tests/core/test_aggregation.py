@@ -1,6 +1,7 @@
 """Tests for LCSS similarity, rigid fitting and sequence aggregation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -140,6 +141,22 @@ class TestSequenceAggregator:
         # Components partition the index set.
         flat = sorted(i for comp in result.components for i in comp)
         assert flat == list(range(len(anchored_sessions)))
+
+    def test_aggregate_scores_pairs_on_the_calling_thread(
+        self, anchored_sessions, config, monkeypatch
+    ):
+        # The default worker_backend is "serial": aggregate must honour
+        # it instead of falling back to map_parallel's thread pool.
+        score_pair = SequenceAggregator.score_pair
+        threads = []
+
+        def recording(self, *args):
+            threads.append(threading.get_ident())
+            return score_pair(self, *args)
+
+        monkeypatch.setattr(SequenceAggregator, "score_pair", recording)
+        SequenceAggregator(config).aggregate(anchored_sessions[:3])
+        assert threads == [threading.get_ident()] * 3
 
     def test_candidates_cover_all_pairs(self, anchored_sessions, config):
         aggregator = SequenceAggregator(config)

@@ -1,6 +1,8 @@
 """End-to-end pipeline tests (smoke-level: the benchmarks do the heavy
 quantitative validation)."""
 
+import re
+
 import pytest
 
 from repro.core.config import CrowdMapConfig
@@ -54,6 +56,10 @@ class TestPipeline:
         # Sessions in the same cell share a group.
         for group in groups:
             assert len(group) >= 1
+
+    def test_unknown_worker_backend_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("('serial', 'thread')")):
+            CrowdMapPipeline(CrowdMapConfig(worker_backend="process"))
 
     def test_empty_trajectory_bounds(self):
         from repro.core.aggregation import AggregationResult

