@@ -46,7 +46,6 @@ def _wire_dataflow() -> None:
     first.
     """
     from repro.backend import cache, workers
-    from repro.backend.telemetry import default_registry
     from repro import dataflow
     from repro.core import pipeline as _pipeline
 
@@ -57,7 +56,6 @@ def _wire_dataflow() -> None:
         config_fingerprint=cache.config_fingerprint,
         value_fingerprint=cache.value_fingerprint,
         map_with_failures=workers.map_with_failures,
-        telemetry=default_registry,
     ))
     _pipeline.set_planner_factory(dataflow.DataflowPlanner)
 

@@ -120,7 +120,7 @@ class DataflowPlanner:
         hit, value = cache.lookup(_NAMESPACE, node.key)
         if hit:
             report.skipped.setdefault(node.kind, []).append(node.node_id)
-            get_runtime().telemetry.counter(
+            self.pipeline.telemetry.counter(
                 "dataflow_nodes_skipped",
                 "dataflow nodes resolved from the graph-level cache",
             ).inc()
@@ -129,7 +129,7 @@ class DataflowPlanner:
     def _executed(self, cache: Any, node: Node, value: Any, report: PlanReport) -> None:
         cache.store(_NAMESPACE, node.key, value)
         report.executed.setdefault(node.kind, []).append(node.node_id)
-        get_runtime().telemetry.counter(
+        self.pipeline.telemetry.counter(
             "dataflow_nodes_executed",
             "dataflow nodes whose kernels actually ran",
         ).inc()

@@ -7,8 +7,8 @@ cache, telemetry or worker modules upward. The unlayered package root
 :class:`PlannerRuntime` from the backend's public handles and installs it
 here at import time. This is the same dependency inversion
 ``baselines.single_image`` uses for its injectable mapper: the planner
-declares *what* it needs (content digests, a result cache, a worker map,
-telemetry) and the assembler above both layers supplies *how*.
+declares *what* it needs (content digests, a result cache, a worker map)
+and the assembler above both layers supplies *how*.
 
 Every handle is the exact backend function the legacy cascade uses, so
 planner cache keys are interchangeable with the cascade's: a ``hog`` or
@@ -27,8 +27,7 @@ class PlannerRuntime:
 
     ``get_cache``/``frame_digest``/``array_digest``/``config_fingerprint``
     /``value_fingerprint`` come from ``repro.backend.cache``;
-    ``map_with_failures`` from ``repro.backend.workers``; ``telemetry``
-    is the default registry.
+    ``map_with_failures`` from ``repro.backend.workers``.
     """
 
     get_cache: Callable[[], Any]
@@ -37,7 +36,6 @@ class PlannerRuntime:
     config_fingerprint: Callable[..., str]
     value_fingerprint: Callable[..., str]
     map_with_failures: Callable[..., Any]
-    telemetry: Any
 
 
 _runtime: Optional[PlannerRuntime] = None

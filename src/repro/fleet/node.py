@@ -7,10 +7,10 @@ sees only its slice of the crowd, and runs two parallel map products:
   that gossip replicates fleet-wide — compact per-session evidence plus
   per-region version vectors;
 - optionally, the node's own **serving stack** — a private
-  :class:`~repro.serving.shards.ShardManager` (hence its own
-  :class:`~repro.core.incremental.IncrementalCrowdMap` instances and
-  versioned snapshot stores) fed the same sessions, exactly as a
-  standalone deployment would publish its partial regional map.
+  :class:`~repro.serving.shards.ShardManager` (hence its own shards,
+  built through the batch planner, and versioned snapshot stores) fed
+  the same sessions, exactly as a standalone deployment would publish
+  its partial regional map.
 
 Every node gets its *own* :class:`~repro.backend.telemetry.TelemetryRegistry`
 by default, so N nodes in one process never cross-count — the property

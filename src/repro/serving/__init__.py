@@ -2,9 +2,9 @@
 
 The paper's deployment story does not end at reconstruction; the cloud
 backend exists so that localization and navigation clients can *consume*
-floor plans at scale. This package turns
-:class:`~repro.core.incremental.IncrementalCrowdMap` snapshots into a
-served system, simulated end to end on a deterministic virtual clock:
+floor plans at scale. This package turns shard snapshots (batch-planner
+builds of each shard's uploads, see :mod:`repro.core.incremental`) into
+a served system, simulated end to end on a deterministic virtual clock:
 
 - :mod:`repro.serving.snapshot` — copy-on-publish versioned snapshots;
   readers always see one consistent immutable version, never a torn map;

@@ -8,6 +8,12 @@ set of :class:`~repro.serving.snapshot.VersionedSnapshotStore` — one
 store per serving replica, all installed with the *same* snapshot object
 on publish so the derived query indexes are built once per version.
 
+:meth:`MapShard.ingest` only queues an upload; the next
+:meth:`MapShard.refresh` rebuilds the map through the batch planner, so
+a corrupt upload is quarantined there exactly as in a batch build, with
+counters on the shard's registry (under ``pipeline_on_error="raise"``
+the refresh raises and the shard stays dirty).
+
 Refresh is scheduler-driven, exactly like the paper's APScheduler-fed
 cascade: :meth:`ShardManager.attach_refresh_job` registers a periodic
 job on a :class:`~repro.backend.scheduler.SimulatedScheduler` that
@@ -50,18 +56,18 @@ class MapShard:
             raise ValueError("a shard needs at least one replica")
         self.key = key
         self.config = config or CrowdMapConfig()
-        self.incremental = IncrementalCrowdMap(self.config)
+        self.telemetry = telemetry or default_registry
+        self.incremental = IncrementalCrowdMap(self.config, self.telemetry)
         self.replicas: Tuple[VersionedSnapshotStore, ...] = tuple(
             VersionedSnapshotStore(key, retain=retain_versions)
             for _ in range(n_replicas)
         )
-        self.telemetry = telemetry or default_registry
         self.dirty = False
         self._next_version = 1
         self.sessions_ingested = 0
 
     def ingest(self, session) -> None:
-        """Feed one uploaded session into the shard's incremental build."""
+        """Queue one uploaded session for the shard's next refresh."""
         self.incremental.add_session(session)
         self.sessions_ingested += 1
         self.dirty = True

@@ -1,6 +1,6 @@
 """Versioned, immutable map snapshots (the serving layer's unit of truth).
 
-The build side (``IncrementalCrowdMap`` + the scheduler's refresh job)
+The build side (batch-planner rebuilds + the scheduler's refresh job)
 and the read side (the request router) meet exactly here, and the
 contract is copy-on-publish: a refresh produces a *new*
 :class:`MapSnapshot`, the store swaps one reference, and every reader

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backend.cache import ResultCache, get_cache, set_cache
 from repro.core import contracts
 from repro.core.config import CrowdMapConfig
 from repro.world.buildings import build_gym, build_lab1, build_lab2
@@ -85,3 +86,12 @@ def config():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def empty_cache():
+    """An empty result cache for one test; the previous one is restored."""
+    previous = get_cache()
+    set_cache(ResultCache(mode="memory"))
+    yield
+    set_cache(previous)

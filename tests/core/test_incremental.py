@@ -6,11 +6,22 @@ import pytest
 from repro.core.config import CrowdMapConfig
 from repro.core.incremental import IncrementalCrowdMap
 from repro.core.pipeline import CrowdMapPipeline
+from repro.dataflow.identity import diff_reconstruction
+from repro.dataflow.planner import last_plan_report
 
 
 @pytest.fixture(scope="module")
 def incremental_config():
     return CrowdMapConfig().with_overrides(layout_samples=400)
+
+
+def _streamed(sessions, config):
+    """Snapshot after every upload, as a serving shard would; the last one."""
+    inc = IncrementalCrowdMap(config)
+    for session in sessions:
+        inc.add_session(session)
+        inc.snapshot()
+    return inc.snapshot()
 
 
 class TestIncremental:
@@ -21,27 +32,37 @@ class TestIncremental:
         inc = IncrementalCrowdMap(incremental_config)
         for session in small_dataset.sessions:
             inc.add_session(session)
-        assert inc.n_sws == len(small_dataset.sws_sessions())
-        assert inc.n_rooms >= 1
+        n_sws = len(small_dataset.sws_sessions())
+        assert inc.n_sws == n_sws
+        snapshot = inc.snapshot()
+        assert len(snapshot.anchored) == n_sws
+        assert len(snapshot.layouts) >= 1
 
-    def test_pairwise_work_is_incremental(self, small_dataset, incremental_config):
+    def test_pairwise_work_is_incremental(
+        self, small_dataset, incremental_config, empty_cache
+    ):
+        """Each upload executes only its own nodes, never the corpus's."""
         inc = IncrementalCrowdMap(incremental_config)
-        sws = small_dataset.sws_sessions()
-        for session in sws:
-            inc.add_session(session)
-        n = len(sws)
-        assert inc.n_pair_scores == n * (n - 1) // 2
-
-    def test_snapshot_matches_batch_pipeline(self, small_dataset, incremental_config):
-        """Streaming all sessions must reproduce the batch skeleton."""
-        inc = IncrementalCrowdMap(incremental_config)
+        assert small_dataset.sessions[0].task == "SWS"
+        kinds = ("keyframes", "pair", "pathway", "room", "floorplan")
         for session in small_dataset.sessions:
             inc.add_session(session)
-        streamed = inc.snapshot()
+            inc.snapshot()
+            report = last_plan_report()
+            executed = tuple(report.n_executed(kind) for kind in kinds)
+            if session.task == "SWS":
+                assert executed == (1, inc.n_sws - 1, 1, 0, 1)
+            else:
+                assert executed == (0, 0, 0, 1, 1)
+                assert report.n_skipped("pathway") == 1
 
-        batch = CrowdMapPipeline(incremental_config).run(small_dataset)
-        # Same pairs scored with the same config: identical merge decisions
-        # and, therefore, identical skeleton cells.
+    def test_snapshot_matches_batch_pipeline(self, small_dataset, incremental_config):
+        """Streaming all sessions must reproduce the reference cascade."""
+        streamed = _streamed(small_dataset.sessions, incremental_config)
+        batch = CrowdMapPipeline(incremental_config).run_sessions_legacy(
+            small_dataset.sessions
+        )
+        assert diff_reconstruction(streamed, batch) == []
         assert sorted(streamed.aggregation.merged_pairs()) == sorted(
             batch.aggregation.merged_pairs()
         )
@@ -59,11 +80,11 @@ class TestIncremental:
         """
         from repro.core.localization import VisualLocalizer
 
-        inc = IncrementalCrowdMap(incremental_config)
-        for session in small_dataset.sessions:
-            inc.add_session(session)
-        streamed = inc.snapshot()
-        batch = CrowdMapPipeline(incremental_config).run(small_dataset)
+        streamed = _streamed(small_dataset.sessions, incremental_config)
+        batch = CrowdMapPipeline(incremental_config).run_sessions_legacy(
+            small_dataset.sessions
+        )
+        assert diff_reconstruction(streamed, batch) == []
 
         assert streamed.floorplan.render_ascii() == batch.floorplan.render_ascii()
 
@@ -107,17 +128,20 @@ class TestIncremental:
         assert inc.snapshot() is None
 
     def test_srs_best_layout_kept_per_cell(self, lab1_plan, lab1_renderer,
-                                            incremental_config):
+                                            sws_session, incremental_config):
         from repro.world.walker import Walker, WalkerProfile
 
         room = lab1_plan.room_by_name("s2")
         inc = IncrementalCrowdMap(incremental_config)
+        inc.add_session(sws_session)
         for seed in (1, 2):
             walker = Walker(lab1_plan, WalkerProfile(user_id=f"u{seed}"),
                             rng=np.random.default_rng(seed),
                             renderer=lab1_renderer)
             inc.add_session(walker.perform_srs(room.center, room_name=room.name))
-        assert inc.n_rooms == 1  # both spins share the cell
-        cell = next(iter(inc._cells.values()))
-        assert len(cell.sessions) == 2
-        assert cell.layout is not None
+        snapshot = inc.snapshot()
+        report = last_plan_report()
+        # Both spins share the cell: one room node, one layout.
+        assert report.n_executed("room") + report.n_skipped("room") == 1
+        assert len(snapshot.layouts) == 1
+        assert snapshot.panoramas[0].room_hint == "s2"

@@ -8,7 +8,7 @@ own TelemetryRegistry — the process-wide ``default_registry`` is the one
 intentionally shared namespace, and injecting a registry opts out of it.
 """
 
-from repro.backend.telemetry import TelemetryRegistry
+from repro.backend.telemetry import TelemetryRegistry, default_registry
 from repro.serving.shards import MapShard, ShardKey, ShardManager
 from repro.serving.snapshot import MapSnapshot, VersionedSnapshotStore
 
@@ -54,7 +54,7 @@ class TestShardManagerIsolation:
         shard = manager.shard_for("Lab1", 1)
         assert shard.telemetry is registry
 
-    def test_refresh_counters_stay_per_instance(self, small_dataset):
+    def test_refresh_counters_stay_per_instance(self, small_dataset, empty_cache):
         registries = [TelemetryRegistry(), TelemetryRegistry()]
         managers = [ShardManager(telemetry=r) for r in registries]
         sessions = [
@@ -62,10 +62,13 @@ class TestShardManagerIsolation:
         ]
         for session in sessions:
             managers[0].ingest_session(session)
+        shared_before = default_registry.value("dataflow_nodes_executed")
         managers[0].refresh_all(now=1.0)
         managers[1].refresh_all(now=1.0)
         assert registries[0].value("serving_snapshots_published") == 1
         assert registries[1].value("serving_snapshots_published") == 0.0
+        assert registries[0].value("dataflow_nodes_executed") > 0
+        assert default_registry.value("dataflow_nodes_executed") == shared_before
 
 
 class TestSnapshotStoreIsolation:
