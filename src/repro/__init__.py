@@ -14,8 +14,8 @@ Qiao - ICDCS 2015), including every substrate the system needs offline:
   dead reckoning;
 - :mod:`repro.world` - procedural ground-truth buildings, a raycasting
   renderer, and the simulated crowd;
-- :mod:`repro.backend` - the client-cloud dataflow (chunked uploads,
-  document store, queue, scheduler, worker pool);
+- :mod:`repro.backend` - the cloud-side substrate (simulated scheduler,
+  parallel maps, result cache, telemetry, fault injection);
 - :mod:`repro.baselines` - the comparators from the paper's evaluation;
 - :mod:`repro.eval` - the paper's metrics and report rendering.
 

@@ -12,12 +12,10 @@ signatures. This module provides that memo layer:
   the same thresholds share one cache slot, whatever session they came
   from — and a threshold change invalidates exactly the results it
   affects.
-- **Storage** is an LRU-bounded in-memory map, optionally write-through
-  to a content-addressed directory on disk (survives process restarts).
+- **Storage** is an LRU-bounded in-memory map.
 - **Modes** come from the ``CROWDMAP_CACHE`` env switch: ``off`` (every
-  call recomputes), ``memory`` (the default) or ``disk``.
-  ``CROWDMAP_CACHE_DIR`` relocates the disk store (default
-  ``.crowdmap_cache``), ``CROWDMAP_CACHE_MAX`` resizes the LRU bound.
+  call recomputes) or ``memory`` (the default). ``CROWDMAP_CACHE_MAX``
+  resizes the LRU bound.
 - **Telemetry**: ``cache_hits`` / ``cache_misses`` / ``cache_evictions``
   counters (plus per-namespace variants) in the default registry.
 
@@ -32,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import pickle
 import threading
 import weakref
 from collections import OrderedDict
@@ -44,10 +41,9 @@ import numpy as np
 from repro.backend.telemetry import TelemetryRegistry, default_registry
 
 #: Recognized ``CROWDMAP_CACHE`` values.
-CACHE_MODES = ("off", "memory", "disk")
+CACHE_MODES = ("off", "memory")
 
 _DEFAULT_MAX_ENTRIES = 4096
-_DEFAULT_CACHE_DIR = ".crowdmap_cache"
 
 #: id-keyed digest memo: ``id(arr) -> (weakref to arr, digest)``. The
 #: weakref callback evicts the entry when the array dies, so a recycled
@@ -158,7 +154,7 @@ def frame_digest(frame: Any) -> str:
 
 
 class ResultCache:
-    """LRU-bounded content-addressed memo store with optional disk tier.
+    """LRU-bounded content-addressed memo store.
 
     Thread-safe; the compute callback runs outside the lock (two racing
     threads may compute the same entry once each — the deterministic
@@ -169,7 +165,6 @@ class ResultCache:
         self,
         mode: str = "memory",
         max_entries: int = _DEFAULT_MAX_ENTRIES,
-        cache_dir: Optional[str] = None,
         telemetry: Optional[TelemetryRegistry] = None,
     ):
         if mode not in CACHE_MODES:
@@ -180,7 +175,6 @@ class ResultCache:
             raise ValueError("max_entries must be positive")
         self.mode = mode
         self.max_entries = max_entries
-        self.cache_dir = cache_dir or _DEFAULT_CACHE_DIR
         self.telemetry = telemetry or default_registry
         self._entries: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
         self._lock = threading.Lock()
@@ -195,34 +189,6 @@ class ResultCache:
         self.telemetry.counter(f"cache_{event}", f"result cache {event}").inc()
         self.telemetry.counter(f"cache_{event}_{namespace}").inc()
 
-    # -- disk tier -----------------------------------------------------
-
-    def _disk_path(self, namespace: str, key: str) -> str:
-        return os.path.join(self.cache_dir, namespace, key[:2], key + ".pkl")
-
-    def _disk_read(self, namespace: str, key: str) -> Tuple[bool, Any]:
-        path = self._disk_path(namespace, key)
-        try:
-            with open(path, "rb") as fh:
-                return True, pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError):
-            return False, None
-
-    def _disk_write(self, namespace: str, key: str, value: Any) -> None:
-        path = self._disk_path(namespace, key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(tmp, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)  # atomic: concurrent writers can't tear
-        except OSError:
-            # A read-only or full disk degrades to memory-only caching.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
     # -- core API ------------------------------------------------------
 
     def lookup(self, namespace: str, key: str) -> Tuple[bool, Any]:
@@ -236,34 +202,26 @@ class ResultCache:
                 value = self._entries[slot]
                 self._count("hits", namespace)
                 return True, value
-        if self.mode == "disk":
-            hit, value = self._disk_read(namespace, key)
-            if hit:
-                self._memory_store(slot, namespace)
-                with self._lock:
-                    self._entries[slot] = value
-                self._count("hits", namespace)
-                return True, value
         self._count("misses", namespace)
         return False, None
 
-    def _memory_store(self, slot: Tuple[str, str], namespace: str) -> None:
-        """Reserve LRU room for ``slot`` (evicting under the lock)."""
-        with self._lock:
-            while len(self._entries) >= self.max_entries:
-                evicted_slot, _ = self._entries.popitem(last=False)
-                self._count("evictions", evicted_slot[0])
-
     def store(self, namespace: str, key: str, value: Any) -> None:
+        """Insert or overwrite ``value``, evicting the LRU entry if full.
+
+        Eviction and insert share one locked section, so racing stores
+        cannot push the cache past ``max_entries``; re-storing a present
+        key replaces its value and evicts nothing.
+        """
         if not self.enabled:
             return
         slot = (namespace, key)
-        self._memory_store(slot, namespace)
         with self._lock:
+            if slot not in self._entries:
+                while len(self._entries) >= self.max_entries:
+                    evicted_slot, _ = self._entries.popitem(last=False)
+                    self._count("evictions", evicted_slot[0])
             self._entries[slot] = value
             self._entries.move_to_end(slot)
-        if self.mode == "disk":
-            self._disk_write(namespace, key, value)
 
     def get_or_compute(
         self, namespace: str, key: str, compute: Callable[[], Any]
@@ -279,7 +237,7 @@ class ResultCache:
         return value
 
     def clear(self) -> None:
-        """Drop the in-memory tier (the disk tier is left untouched)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
 
@@ -305,8 +263,7 @@ def _cache_from_env() -> ResultCache:
             f"CROWDMAP_CACHE must be one of {CACHE_MODES}, got {mode!r}"
         )
     max_entries = int(os.environ.get("CROWDMAP_CACHE_MAX", _DEFAULT_MAX_ENTRIES))
-    cache_dir = os.environ.get("CROWDMAP_CACHE_DIR") or None
-    return ResultCache(mode=mode, max_entries=max_entries, cache_dir=cache_dir)
+    return ResultCache(mode=mode, max_entries=max_entries)
 
 
 _default_cache: Optional[ResultCache] = None

@@ -1,21 +1,16 @@
-"""Deterministic fault injection for the ingest and pipeline substrate.
+"""Deterministic fault injection for the pipeline and the fleet mesh.
 
-Crowdsourced uploads arrive from unreliable phones over unreliable
-networks: chunks get corrupted in flight, IMU streams are truncated when
-an app is killed mid-upload, whole uploads are dropped, and backend
-handlers hit transient errors. This module produces those failures *on
-purpose* — seeded, so every chaos test replays the exact same faults —
-which is how the graceful-degradation guarantees of the pipeline and the
-retry/dead-letter semantics of the queue stay honest across PRs.
+Crowdsourced sessions come from unreliable phones: decoders emit
+corrupt frames, and IMU streams are truncated when an app is killed
+mid-capture. Fleet nodes gossip over unreliable links. This module
+produces those failures *on purpose* — seeded, so every chaos test
+replays the exact same faults — which is how the graceful-degradation
+guarantees of the pipeline and the fleet's convergence stay honest.
 
-Three layers:
+Two layers:
 
 - :class:`FaultInjector` — a seeded planner that picks which items fault
-  and how (``plan``), plus concrete corruptors for chunks, upload
-  payloads and capture sessions;
-- :class:`FlakyHandler` / :class:`SlowHandler` — wrappers that make a
-  worker handler fail its first N calls or stall, exercising the queue's
-  retry/backoff path deterministically;
+  and how (``plan``), plus concrete corruptors for capture sessions;
 - :class:`LinkFaultModel` / :class:`Partition` — a seeded network model
   for the fleet gossip mesh: per-message latency, probabilistic loss and
   scheduled partitions, each decision a pure function of
@@ -25,23 +20,16 @@ Three layers:
 
 from __future__ import annotations
 
-import threading
-import time
 import zlib
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
-
-from repro.backend.chunking import Chunk
-from repro.backend.serialization import decode_array, encode_array
 
 #: Every fault kind the planner can assign, in assignment order.
 FAULT_KINDS = (
     "corrupt_frames",   # NaN-poisoned pixels (decoder bit-rot)
     "truncate_imu",     # IMU stream cut short (app killed mid-capture)
-    "drop_upload",      # upload never finalized (network loss)
-    "corrupt_chunk",    # transport corruption (caught by CRC)
 )
 
 
@@ -51,10 +39,6 @@ class FaultDecision:
 
     item_id: str
     kind: str
-
-
-class FaultInjectionError(RuntimeError):
-    """The error a flaky handler raises on an injected failure."""
 
 
 class FaultInjector:
@@ -108,53 +92,12 @@ class FaultInjector:
     # concrete corruptions
     # ------------------------------------------------------------------
 
-    def corrupt_chunk(self, chunk: Chunk) -> Chunk:
-        """Flip payload bytes while keeping the original CRC.
-
-        The mismatch is exactly what transport corruption looks like to
-        the server: ``chunk.verify()`` returns False and the ingest path
-        must ask for a resend instead of storing garbage.
-        """
-        payload = bytearray(chunk.payload)
-        if not payload:
-            payload = bytearray(b"\x00")
-        n_flips = max(1, len(payload) // 256)
-        positions = self._rng.integers(0, len(payload), size=n_flips)
-        for pos in positions:
-            payload[pos] ^= 0xFF
-        corrupted = bytes(payload)
-        if zlib.crc32(corrupted) == chunk.crc32:
-            # Vanishingly unlikely, but a fault injector must never
-            # accidentally inject a no-op: force a detectable mismatch.
-            corrupted = corrupted[:-1] + bytes([corrupted[-1] ^ 0x01])
-        return replace(chunk, payload=corrupted)
-
-    def truncate_imu_payload(
-        self, payload: Dict[str, Any], keep_fraction: float = 0.3
-    ) -> Dict[str, Any]:
-        """Cut every IMU channel of an upload payload to a prefix.
-
-        Mirrors an app killed mid-capture: the frames made it out but the
-        inertial stream stops early, so dead reckoning covers only part
-        of the walk.
-        """
-        if not 0.0 <= keep_fraction <= 1.0:
-            raise ValueError("keep_fraction must be in [0, 1]")
-        faulted = dict(payload)
-        imu = dict(faulted.get("imu", {}))
-        for channel, blob in imu.items():
-            arr = decode_array(blob)
-            imu[channel] = encode_array(arr[: int(len(arr) * keep_fraction)])
-        faulted["imu"] = imu
-        return faulted
-
     def corrupt_session_frames(self, session, fraction: float = 0.5):
         """A copy of ``session`` with NaN-poisoned pixels in some frames.
 
-        Works on any session-like dataclass exposing ``frames`` (both
-        :class:`~repro.world.walker.CaptureSession` and
-        :class:`~repro.backend.serialization.DecodedSession`); the input
-        is never mutated.
+        Works on any session-like dataclass exposing ``frames``, such as
+        :class:`~repro.world.walker.CaptureSession`; the input is never
+        mutated.
         """
         frames = list(session.frames)
         if frames:
@@ -172,60 +115,6 @@ class FaultInjector:
         imu = session.imu
         kept = imu.samples[: int(len(imu.samples) * keep_fraction)]
         return replace(session, imu=replace(imu, samples=kept))
-
-
-class FlakyHandler:
-    """A handler that fails its first ``fail_times`` calls, then recovers.
-
-    The canonical transient-fault shape: the queue should retry with
-    backoff and the task should eventually succeed, with the attempt
-    trail visible in telemetry. Thread-safe, so a multi-worker pool
-    counts calls correctly.
-    """
-
-    def __init__(
-        self,
-        handler: Callable[[Any], Any],
-        fail_times: int = 2,
-        error: Optional[Exception] = None,
-    ):
-        self.handler = handler
-        self.fail_times = fail_times
-        self.error = error
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def __call__(self, payload: Any) -> Any:
-        with self._lock:
-            self.calls += 1
-            attempt = self.calls
-        if attempt <= self.fail_times:
-            raise self.error or FaultInjectionError(
-                f"injected transient failure (call {attempt}/{self.fail_times})"
-            )
-        return self.handler(payload)
-
-
-class SlowHandler:
-    """A handler that stalls ``delay`` seconds before delegating.
-
-    Models an overloaded downstream dependency; used to verify that slow
-    tasks do not starve the pool or trip retry logic spuriously.
-    """
-
-    def __init__(self, handler: Callable[[Any], Any], delay: float = 0.05):
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self.handler = handler
-        self.delay = delay
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def __call__(self, payload: Any) -> Any:
-        with self._lock:
-            self.calls += 1
-        time.sleep(self.delay)
-        return self.handler(payload)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Backend telemetry: counters, gauges and latency histograms.
 
 A cloud pipeline ingesting crowdsourced uploads needs observability —
-which stage is slow, how many uploads failed CRC, how deep is the queue.
+which stage is slow, how many sessions were quarantined, how many
+requests were shed.
 This registry provides the standard trio (counter / gauge / histogram)
 with thread-safe updates and a text scrape, and a timer context manager
 the pipeline stages can wrap themselves in.

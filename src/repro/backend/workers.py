@@ -1,10 +1,9 @@
-"""Worker pool for parallel pipeline stages (Spark stand-in).
+"""Parallel maps for pipeline stages (Spark stand-in).
 
 The paper "leverage[s] PySpark with MLlib ... to accelerate the process of
 user trajectories aggregation". The equivalent here is a pluggable-backend
 :func:`map_parallel` for embarrassingly parallel stages (trajectory pair
-scoring, per-room layout generation) plus a thread pool that drains a
-:class:`~repro.backend.queue.TaskQueue` through per-kind handlers.
+scoring, per-room layout generation).
 
 Two map backends, both in the caller's address space, so no frame is
 ever copied to another process (the paper's Spark executors likewise
@@ -18,23 +17,18 @@ keep frames local):
   objects, so worker code must not mutate shared state (crowdlint
   CM011).
 
-Failure semantics are backend-independent: a queue handler exception
-nacks the task, which the queue retries with backoff until it
-dead-letters; :func:`map_parallel` defaults to fail-fast
-(``on_error="raise"``) but can shed bad items (``on_error="skip"``), and
-:func:`map_with_failures` reports every failure with its input index so
-the pipeline can quarantine exactly the sessions that broke — under
-either backend.
+Failure semantics are backend-independent: :func:`map_parallel`
+defaults to fail-fast (``on_error="raise"``) but can shed bad items
+(``on_error="skip"``), and :func:`map_with_failures` reports every
+failure with its input index so the pipeline can quarantine exactly the
+sessions that broke — under either backend.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.backend.queue import Task, TaskQueue
 from repro.backend.telemetry import TelemetryRegistry, default_registry
 
 T = TypeVar("T")
@@ -145,86 +139,3 @@ def map_with_failures(
             failures.append((idx, value))
     return successes, failures
 
-
-class WorkerPool:
-    """Threads draining a task queue through registered handlers."""
-
-    def __init__(
-        self,
-        queue: TaskQueue,
-        n_workers: int = 2,
-        telemetry: Optional[TelemetryRegistry] = None,
-    ):
-        if n_workers < 1:
-            raise ValueError("need at least one worker")
-        self.queue = queue
-        self.n_workers = n_workers
-        self.telemetry = telemetry or default_registry
-        self._handlers: Dict[str, Callable[[Any], Any]] = {}
-        self._threads: List[threading.Thread] = []
-        self._stop = threading.Event()
-
-    def register(self, kind: str, handler: Callable[[Any], Any]) -> None:
-        """Route tasks of ``kind`` to ``handler(payload) -> result``."""
-        self._handlers[kind] = handler
-
-    def _run_one(self, task: Task) -> None:
-        handler = self._handlers.get(task.kind)
-        if handler is None:
-            self.queue.nack(task.task_id, error=f"no handler for kind {task.kind!r}")
-            return
-        try:
-            with self.telemetry.timer(f"worker_{task.kind}_seconds"):
-                result = handler(task.payload)
-        except Exception as exc:  # noqa: BLE001 - worker must survive bad tasks
-            self.telemetry.counter("worker_task_failures").inc()
-            self.telemetry.counter(
-                f"worker_{task.kind}_failures",
-                "failed handler attempts for this task kind",
-            ).inc()
-            self.queue.nack(task.task_id, error=f"{type(exc).__name__}: {exc}")
-        else:
-            self.telemetry.counter("worker_tasks_done").inc()
-            self.telemetry.histogram(
-                "task_attempts_to_success",
-                "attempts a task needed before acking",
-            ).observe(task.attempts)
-            self.queue.ack(task.task_id, result=result)
-
-    def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            task = self.queue.lease(timeout=0.05)
-            if task is not None:
-                self._run_one(task)
-
-    def start(self) -> None:
-        if self._threads:
-            raise RuntimeError("pool already started")
-        self._stop.clear()
-        for i in range(self.n_workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"worker-{i}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def stop(self) -> None:
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads.clear()
-
-    def drain(self, poll_interval: float = 0.01, timeout: float = 30.0) -> None:
-        """Block until every submitted task settles (done or dead)."""
-        deadline = time.monotonic() + timeout
-        while not self.queue.all_settled():
-            if time.monotonic() > deadline:
-                raise TimeoutError("worker pool did not drain in time")
-            time.sleep(poll_interval)
-
-    def __enter__(self) -> "WorkerPool":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -117,11 +117,6 @@ def _measure(
     return float(np.median(times)), times
 
 
-def _time(fn: Callable[[], object], repeats: int) -> float:
-    """Median of ``repeats`` timed calls (median resists scheduler noise)."""
-    return _measure(fn, repeats, "median")[0]
-
-
 # ----------------------------------------------------------------------
 # Kernel workloads (seeded, self-contained)
 # ----------------------------------------------------------------------

@@ -85,8 +85,7 @@ class KeyFrame:
 
         Signatures are memoized per key-frame instance *and* in the
         content-addressed cache, so a frame whose pixels were already
-        signed — in this run or (disk mode) an earlier one — pays only a
-        digest.
+        signed earlier in the process pays only a digest.
         """
         if self.color is None or self.shape is None or self.wavelet is None:
             pixels = self.frame.pixels

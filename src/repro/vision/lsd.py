@@ -47,12 +47,6 @@ class LineSegment2D:
         return abs(self.angle() - math.pi / 2.0) < tolerance
 
 
-def _angle_diff(a: np.ndarray, b: float) -> np.ndarray:
-    """Absolute difference of orientations on the half-circle [0, pi)."""
-    d = np.abs(a - b) % math.pi
-    return np.minimum(d, math.pi - d)
-
-
 def _coarse_support_screen(
     usable: np.ndarray,
     min_region_size: int,

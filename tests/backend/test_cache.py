@@ -1,5 +1,6 @@
-"""Content-addressed result cache: keys, storage tiers, and the
-cached-vs-uncached bit-identity contract the pipeline relies on.
+"""Content-addressed result cache: keys, LRU storage, environment
+configuration, and the cached-vs-uncached bit-identity contract the
+pipeline relies on.
 
 The equivalence tests here are the cache's reason to exist: a warm cache
 must be a pure speedup, never a semantic change, so the reconstruction
@@ -7,6 +8,10 @@ from a cached run is compared bit-for-bit against an uncached one.
 """
 
 from __future__ import annotations
+
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -91,6 +96,47 @@ class TestCoreApi:
         assert cache.lookup("ns", "a") == (True, 1)
         assert cache.lookup("ns", "b") == (False, None)
 
+    def test_re_storing_a_present_key_evicts_nothing(self):
+        # The batched HOG/SURF paths look up a whole batch before storing
+        # any of it, so duplicate frames in one batch re-store one key.
+        cache = fresh_cache(max_entries=2)
+        cache.store("ns", "a", 1)
+        cache.store("ns", "b", 2)
+        cache.store("ns", "b", 3)
+        assert len(cache) == 2
+        assert cache.lookup("ns", "a") == (True, 1)
+        assert cache.lookup("ns", "b") == (True, 3)
+        assert cache.telemetry.value("cache_evictions") == 0
+
+    def test_racing_stores_never_exceed_the_bound(self):
+        cache = fresh_cache(max_entries=4)
+        start = threading.Barrier(4, timeout=10.0)
+        peak = []
+
+        def writer(tag):
+            start.wait()
+            seen = 0
+            for i in range(2000):
+                cache.store("ns", f"{tag}-{i}", i)
+                seen = max(seen, len(cache))
+            peak.append(seen)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave threads as often as possible
+        try:
+            threads = [threading.Thread(target=writer, args=(t,))
+                       for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(peak) == 4  # every writer finished
+        assert max(peak) == 4
+        assert len(cache) == 4
+
     def test_off_mode_is_a_no_op(self):
         cache = fresh_cache(mode="off")
         cache.store("ns", "k", 1)
@@ -106,9 +152,12 @@ class TestCoreApi:
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
             ResultCache(mode="turbo")
+        # The removed disk tier is rejected, not silently ignored.
+        with pytest.raises(ValueError, match=re.escape("('off', 'memory')")):
+            ResultCache(mode="disk")
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)
-        assert set(CACHE_MODES) == {"off", "memory", "disk"}
+        assert CACHE_MODES == ("off", "memory")
 
     def test_clear_drops_memory_entries(self):
         cache = fresh_cache()
@@ -216,42 +265,19 @@ class TestContentKeys:
         assert cache.lookup("hog", new) == (False, None)
 
 
-class TestDiskTier:
-    def test_disk_entries_survive_a_new_process_cache(self, tmp_path):
-        writer = fresh_cache(mode="disk", cache_dir=str(tmp_path))
-        payload = {"descriptor": np.arange(5.0)}
-        writer.store("hog", "deadbeef", payload)
-        # A fresh cache (fresh memory tier) simulating a restarted worker.
-        reader = fresh_cache(mode="disk", cache_dir=str(tmp_path))
-        hit, value = reader.lookup("hog", "deadbeef")
-        assert hit
-        assert np.array_equal(value["descriptor"], payload["descriptor"])
-        # The disk hit was promoted into the memory tier.
-        assert len(reader) == 1
-
-    def test_memory_mode_never_touches_disk(self, tmp_path):
-        cache = fresh_cache(mode="memory", cache_dir=str(tmp_path))
-        cache.store("hog", "cafe", 1)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_corrupt_disk_entry_degrades_to_miss(self, tmp_path):
-        cache = fresh_cache(mode="disk", cache_dir=str(tmp_path))
-        cache.store("ns", "k", 42)
-        cache.clear()
-        path = cache._disk_path("ns", "k")
-        with open(path, "wb") as fh:
-            fh.write(b"not a pickle")
-        assert cache.lookup("ns", "k") == (False, None)
-
-    def test_env_configuration(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("CROWDMAP_CACHE", "disk")
-        monkeypatch.setenv("CROWDMAP_CACHE_DIR", str(tmp_path))
+class TestEnvConfiguration:
+    def test_env_configuration(self, monkeypatch):
+        monkeypatch.setenv("CROWDMAP_CACHE", "off")
         monkeypatch.setenv("CROWDMAP_CACHE_MAX", "33")
         set_cache(None)
         cache = get_cache()
-        assert cache.mode == "disk"
-        assert cache.cache_dir == str(tmp_path)
+        assert cache.mode == "off"
         assert cache.max_entries == 33
+        # The removed disk tier is rejected, not silently ignored.
+        monkeypatch.setenv("CROWDMAP_CACHE", "disk")
+        set_cache(None)
+        with pytest.raises(ValueError, match=re.escape("('off', 'memory')")):
+            get_cache()
 
     def test_env_rejects_unknown_mode(self, monkeypatch):
         monkeypatch.setenv("CROWDMAP_CACHE", "sideways")

@@ -1,38 +1,9 @@
-"""Fault-injection substrate tests: injectors, retry/backoff, dead-letter."""
+"""Fault-injection substrate tests: session injectors and the link model."""
 
 import numpy as np
 import pytest
 
-from repro.backend.chunking import (
-    ChunkReassemblyError,
-    chunk_payload,
-    reassemble_chunks,
-)
-from repro.backend.datastore import DocumentStore
-from repro.backend.faults import (
-    FaultInjectionError,
-    FaultInjector,
-    FlakyHandler,
-    SlowHandler,
-)
-from repro.backend.queue import RetryPolicy, TaskQueue, TaskState
-from repro.backend.serialization import decode_array, session_to_payload
-from repro.backend.server import IngestServer
-from repro.backend.telemetry import TelemetryRegistry
-from repro.backend.workers import WorkerPool
-
-
-class FakeClock:
-    """Hand-cranked monotonic clock for deterministic backoff tests."""
-
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
+from repro.backend.faults import FaultInjector
 
 
 class TestFaultInjector:
@@ -62,25 +33,6 @@ class TestFaultInjector:
         with pytest.raises(ValueError):
             FaultInjector(kinds=())
 
-    def test_corrupt_chunk_fails_crc(self):
-        chunks = chunk_payload("up-1", b"hello world" * 100, chunk_size=64)
-        bad = FaultInjector(seed=0).corrupt_chunk(chunks[0])
-        assert not bad.verify()
-        assert chunks[0].verify()  # the original is untouched
-        with pytest.raises(ChunkReassemblyError):
-            reassemble_chunks([bad] + chunks[1:])
-
-    def test_truncate_imu_payload(self, sws_session):
-        payload = session_to_payload(sws_session)
-        faulted = FaultInjector(seed=0).truncate_imu_payload(
-            payload, keep_fraction=0.25
-        )
-        full = decode_array(payload["imu"]["t"])
-        cut = decode_array(faulted["imu"]["t"])
-        assert len(cut) == int(0.25 * len(full))
-        # The original payload dict is untouched.
-        assert len(decode_array(payload["imu"]["t"])) == len(full)
-
     def test_corrupt_session_frames(self, sws_session):
         faulted = FaultInjector(seed=0).corrupt_session_frames(
             sws_session, fraction=0.5
@@ -97,214 +49,6 @@ class TestFaultInjector:
             sws_session, keep_fraction=0.5
         )
         assert len(faulted.imu.samples) == len(sws_session.imu.samples) // 2
-
-
-class TestRetryPolicy:
-    def test_exponential_schedule(self):
-        policy = RetryPolicy(backoff_base=1.0, backoff_factor=2.0,
-                             backoff_max=5.0)
-        import random
-        rng = random.Random(0)
-        assert policy.delay_for(1, rng) == 1.0
-        assert policy.delay_for(2, rng) == 2.0
-        assert policy.delay_for(3, rng) == 4.0
-        assert policy.delay_for(4, rng) == 5.0  # capped
-
-    def test_zero_base_means_immediate(self):
-        import random
-        assert RetryPolicy().delay_for(3, random.Random(0)) == 0.0
-
-    def test_jitter_bounded_and_seeded(self):
-        import random
-        policy = RetryPolicy(backoff_base=1.0, jitter=0.5)
-        delays = [policy.delay_for(1, random.Random(7)) for _ in range(5)]
-        assert all(0.5 <= d <= 1.5 for d in delays)
-        assert len(set(delays)) == 1  # same seed, same jitter
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)
-
-
-class TestQueueBackoff:
-    def _queue(self, **policy_kwargs):
-        clock = FakeClock()
-        telemetry = TelemetryRegistry()
-        q = TaskQueue(
-            retry_policy=RetryPolicy(**policy_kwargs),
-            telemetry=telemetry,
-            clock=clock,
-        )
-        return q, clock, telemetry
-
-    def test_backoff_gates_lease(self):
-        q, clock, _ = self._queue(max_attempts=3, backoff_base=1.0)
-        q.submit("w", None)
-        t = q.lease()
-        q.nack(t.task_id, error="boom")
-        assert q.lease() is None  # still inside the backoff window
-        assert q.next_ready_in() == pytest.approx(1.0)
-        clock.advance(1.0)
-        t2 = q.lease()
-        assert t2 is not None and t2.attempts == 2
-
-    def test_backoff_grows_exponentially(self):
-        q, clock, _ = self._queue(
-            max_attempts=5, backoff_base=1.0, backoff_factor=2.0
-        )
-        q.submit("w", None)
-        q.nack(q.lease().task_id, error="a")
-        assert q.next_ready_in() == pytest.approx(1.0)
-        clock.advance(1.0)
-        q.nack(q.lease().task_id, error="b")
-        assert q.next_ready_in() == pytest.approx(2.0)
-
-    def test_ready_tasks_lease_past_backing_off_ones(self):
-        q, clock, _ = self._queue(max_attempts=3, backoff_base=10.0)
-        first = q.submit("w", "cooling")
-        q.nack(q.lease().task_id, error="boom")
-        second = q.submit("w", "fresh")
-        leased = q.lease()
-        assert leased.task_id == second.task_id
-        assert first.state is TaskState.PENDING
-
-    def test_retry_and_dead_letter_telemetry(self):
-        q, clock, telemetry = self._queue(max_attempts=3)
-        q.submit("w", None)
-        for _ in range(3):
-            q.nack(q.lease().task_id, error="boom")
-        assert telemetry.value("tasks_retried") == 2
-        assert telemetry.value("tasks_dead_lettered") == 1
-        (dead,) = q.dead_letters()
-        assert dead.attempt_errors == ["boom", "boom", "boom"]
-
-    def test_retry_dead_resurrects(self):
-        q, clock, _ = self._queue(max_attempts=1)
-        t = q.submit("w", None)
-        q.nack(q.lease().task_id, error="boom")
-        assert q.task(t.task_id).state is TaskState.DEAD
-        q.retry_dead(t.task_id)
-        leased = q.lease()
-        assert leased.task_id == t.task_id
-        assert leased.attempts == 1
-
-    def test_retry_dead_requires_dead_state(self):
-        q, _, _ = self._queue()
-        t = q.submit("w", None)
-        with pytest.raises(ValueError):
-            q.retry_dead(t.task_id)
-
-    def test_next_ready_in_empty(self):
-        q, _, _ = self._queue()
-        assert q.next_ready_in() is None
-
-
-class TestHandlerWrappers:
-    def test_flaky_recovers_through_retries(self):
-        telemetry = TelemetryRegistry()
-        q = TaskQueue(max_attempts=5, telemetry=telemetry)
-        pool = WorkerPool(q, n_workers=2, telemetry=telemetry)
-        handler = FlakyHandler(lambda n: n * n, fail_times=2)
-        pool.register("square", handler)
-        t = q.submit("square", 6)
-        with pool:
-            pool.drain(timeout=10.0)
-        final = q.task(t.task_id)
-        assert final.state is TaskState.DONE
-        assert final.result == 36
-        assert final.attempts == 3
-        assert len(final.attempt_errors) == 2
-        assert telemetry.value("tasks_retried") == 2
-        assert telemetry.value("tasks_dead_lettered") == 0
-
-    def test_flaky_exhausts_into_dead_letter(self):
-        telemetry = TelemetryRegistry()
-        q = TaskQueue(max_attempts=2, telemetry=telemetry)
-        pool = WorkerPool(q, n_workers=1, telemetry=telemetry)
-        pool.register("doomed", FlakyHandler(lambda n: n, fail_times=99))
-        t = q.submit("doomed", 0)
-        with pool:
-            pool.drain(timeout=10.0)
-        assert q.task(t.task_id).state is TaskState.DEAD
-        assert telemetry.value("tasks_dead_lettered") == 1
-        assert "injected transient failure" in q.task(t.task_id).last_error
-
-    def test_flaky_custom_error(self):
-        handler = FlakyHandler(lambda n: n, fail_times=1,
-                               error=KeyError("custom"))
-        with pytest.raises(KeyError):
-            handler(1)
-        assert handler(1) == 1
-
-    def test_flaky_raises_fault_injection_error(self):
-        with pytest.raises(FaultInjectionError):
-            FlakyHandler(lambda n: n, fail_times=1)(0)
-
-    def test_slow_handler_still_completes(self):
-        telemetry = TelemetryRegistry()
-        q = TaskQueue(telemetry=telemetry)
-        pool = WorkerPool(q, n_workers=2, telemetry=telemetry)
-        slow = SlowHandler(lambda n: n + 1, delay=0.02)
-        pool.register("slow", slow)
-        ids = [q.submit("slow", n).task_id for n in range(6)]
-        with pool:
-            pool.drain(timeout=10.0)
-        assert [q.task(i).result for i in ids] == [n + 1 for n in range(6)]
-        assert slow.calls == 6
-
-    def test_slow_handler_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            SlowHandler(lambda n: n, delay=-1.0)
-
-
-class TestIngestFaults:
-    def _server(self):
-        telemetry = TelemetryRegistry()
-        server = IngestServer(DocumentStore(), queue=TaskQueue(),
-                              telemetry=telemetry)
-        return server, telemetry
-
-    def test_corrupt_chunk_asks_for_resend(self):
-        server, telemetry = self._server()
-        upload_id = server.open_upload("u1", {"building": "Lab1", "floor": 1})
-        chunks = chunk_payload(upload_id, b"payload" * 1000, chunk_size=512)
-        bad = FaultInjector(seed=0).corrupt_chunk(chunks[0])
-        ack = server.receive_chunk(bad)
-        assert ack["status"] == "retry"
-        assert telemetry.value("ingest_chunk_crc_failures") == 1
-        # The client resends the pristine chunk and the upload completes.
-        for chunk in chunks:
-            assert server.receive_chunk(chunk)["status"] == "ok"
-        assert server.finalize_upload(upload_id) > 0
-
-    def test_incomplete_finalize_counts_failure(self):
-        server, telemetry = self._server()
-        upload_id = server.open_upload("u1", {"building": "Lab1", "floor": 1})
-        data = np.random.default_rng(0).integers(
-            0, 256, size=4096, dtype=np.uint8
-        ).tobytes()  # incompressible, so it spans several chunks
-        chunks = chunk_payload(upload_id, data, chunk_size=512)
-        assert len(chunks) > 1
-        server.receive_chunk(chunks[0])
-        with pytest.raises(ChunkReassemblyError):
-            server.finalize_upload(upload_id)
-        assert telemetry.value("ingest_finalize_failures") == 1
-
-    def test_abandon_upload(self):
-        server, telemetry = self._server()
-        upload_id = server.open_upload("u1", {"building": "Lab1", "floor": 1})
-        assert server.abandon_upload(upload_id)
-        assert upload_id not in server.pending_uploads()
-        assert telemetry.value("ingest_uploads_abandoned") == 1
-        # Unknown and repeated abandons are no-ops.
-        assert not server.abandon_upload(upload_id)
-        assert not server.abandon_upload("up-999999")
 
 
 class TestLinkFaultModel:

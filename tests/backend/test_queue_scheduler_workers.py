@@ -1,68 +1,11 @@
-"""Tests for the task queue, scheduler and worker pool."""
+"""Tests for the simulated scheduler and the parallel map."""
 
 import threading
 
 import pytest
 
-from repro.backend.queue import TaskQueue, TaskState
 from repro.backend.scheduler import SimulatedScheduler
-from repro.backend.workers import WorkerPool, map_parallel
-
-
-class TestTaskQueue:
-    def test_submit_lease_ack(self):
-        q = TaskQueue()
-        task = q.submit("work", {"n": 1})
-        leased = q.lease()
-        assert leased.task_id == task.task_id
-        assert leased.state is TaskState.LEASED
-        q.ack(leased.task_id, result=42)
-        assert q.task(task.task_id).result == 42
-        assert q.all_settled()
-
-    def test_fifo_order(self):
-        q = TaskQueue()
-        ids = [q.submit("w", i).task_id for i in range(5)]
-        leased = [q.lease().task_id for _ in range(5)]
-        assert leased == ids
-
-    def test_nack_requeues(self):
-        q = TaskQueue(max_attempts=3)
-        q.submit("w", None)
-        t = q.lease()
-        q.nack(t.task_id, error="boom")
-        assert q.pending_count() == 1
-        t2 = q.lease()
-        assert t2.task_id == t.task_id
-        assert t2.attempts == 2
-
-    def test_dead_letter_after_max_attempts(self):
-        q = TaskQueue(max_attempts=2)
-        q.submit("w", None)
-        for _ in range(2):
-            t = q.lease()
-            q.nack(t.task_id, error="boom")
-        assert q.tasks_in_state(TaskState.DEAD)
-        assert q.lease() is None
-        assert q.all_settled()
-
-    def test_ack_requires_leased_state(self):
-        q = TaskQueue()
-        t = q.submit("w", None)
-        with pytest.raises(ValueError):
-            q.ack(t.task_id)
-
-    def test_unknown_task(self):
-        q = TaskQueue()
-        with pytest.raises(KeyError):
-            q.ack(999)
-
-    def test_lease_empty_returns_none(self):
-        assert TaskQueue().lease() is None
-
-    def test_invalid_max_attempts(self):
-        with pytest.raises(ValueError):
-            TaskQueue(max_attempts=0)
+from repro.backend.workers import map_parallel
 
 
 class TestScheduler:
@@ -172,47 +115,3 @@ class TestMapParallel:
             return x
 
         assert map_parallel(wait, [1, 2, 3, 4], max_workers=4) == [1, 2, 3, 4]
-
-
-class TestWorkerPool:
-    def test_processes_tasks(self):
-        q = TaskQueue()
-        pool = WorkerPool(q, n_workers=2)
-        pool.register("square", lambda n: n * n)
-        ids = [q.submit("square", n).task_id for n in range(8)]
-        with pool:
-            pool.drain(timeout=10.0)
-        assert [q.task(i).result for i in ids] == [n * n for n in range(8)]
-
-    def test_handler_error_nacks(self):
-        q = TaskQueue(max_attempts=2)
-
-        def bad(_):
-            raise RuntimeError("handler failure")
-
-        pool = WorkerPool(q, n_workers=1)
-        pool.register("bad", bad)
-        t = q.submit("bad", None)
-        with pool:
-            pool.drain(timeout=10.0)
-        final = q.task(t.task_id)
-        assert final.state is TaskState.DEAD
-        assert "handler failure" in final.last_error
-
-    def test_unregistered_kind_dead_letters(self):
-        q = TaskQueue(max_attempts=1)
-        pool = WorkerPool(q, n_workers=1)
-        t = q.submit("mystery", None)
-        with pool:
-            pool.drain(timeout=10.0)
-        assert q.task(t.task_id).state is TaskState.DEAD
-
-    def test_double_start_rejected(self):
-        pool = WorkerPool(TaskQueue(), n_workers=1)
-        with pool:
-            with pytest.raises(RuntimeError):
-                pool.start()
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            WorkerPool(TaskQueue(), n_workers=0)

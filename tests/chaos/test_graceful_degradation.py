@@ -10,16 +10,16 @@ crowd dataset's sessions with the seeded
   non-empty floor plan built from the healthy sessions;
 - the ``failures`` report names exactly the faulted items;
 - telemetry counters (``sessions_quarantined``,
-  ``panorama_groups_quarantined``, ``tasks_retried``,
-  ``tasks_dead_lettered``) match the injected fault counts.
+  ``panorama_groups_quarantined``) match the injected fault counts.
+
+``tests/serving/test_fault_parity.py`` replays the mixed-fault crowd
+through a serving shard and checks it against this batch build.
 """
 
 import pytest
 
-from repro.backend.faults import FaultInjector, FlakyHandler
-from repro.backend.queue import RetryPolicy, TaskQueue, TaskState
+from repro.backend.faults import FaultInjector
 from repro.backend.telemetry import TelemetryRegistry
-from repro.backend.workers import WorkerPool
 from repro.core.config import CrowdMapConfig
 from repro.core.keyframes import KeyframeSelectionError
 from repro.core.pipeline import CrowdMapPipeline
@@ -131,64 +131,3 @@ class TestGracefulDegradation:
         config = CrowdMapConfig().with_overrides(pipeline_on_error="explode")
         with pytest.raises(ValueError):
             CrowdMapPipeline(config)
-
-
-class TestIngestChaosTelemetry:
-    """Flaky uploads through the queue: retries and dead letters add up."""
-
-    def test_retry_and_dead_letter_counts_match_injection(self):
-        n_uploads = 10
-        flaky_failures = 2        # transient: recovers within the budget
-        max_attempts = 3
-
-        telemetry = TelemetryRegistry()
-        queue = TaskQueue(
-            retry_policy=RetryPolicy(max_attempts=max_attempts),
-            telemetry=telemetry,
-        )
-        pool = WorkerPool(queue, n_workers=2, telemetry=telemetry)
-
-        pool.register("healthy", lambda payload: payload["n"])
-        pool.register(
-            "flaky", FlakyHandler(lambda payload: payload["n"],
-                                  fail_times=flaky_failures)
-        )
-
-        def doomed(payload):
-            raise RuntimeError("permanently corrupt upload")
-
-        pool.register("doomed", doomed)
-
-        # 10 uploads, 20% faulted: one transient, one permanent.
-        kinds = ["healthy"] * (n_uploads - 2) + ["flaky", "doomed"]
-        tasks = [queue.submit(kind, {"n": i}) for i, kind in enumerate(kinds)]
-        with pool:
-            pool.drain(timeout=30.0)
-
-        states = [queue.task(t.task_id).state for t in tasks]
-        assert states.count(TaskState.DONE) == n_uploads - 1
-        assert states.count(TaskState.DEAD) == 1
-        # Retries: the flaky upload's transient failures plus the doomed
-        # upload's attempts before dead-lettering.
-        assert telemetry.value("tasks_retried") \
-            == flaky_failures + (max_attempts - 1)
-        assert telemetry.value("tasks_dead_lettered") == 1
-        assert len(queue.dead_letters()) == 1
-        assert telemetry.value("worker_tasks_done") == n_uploads - 1
-
-    def test_dead_letter_replay_after_fix(self):
-        telemetry = TelemetryRegistry()
-        queue = TaskQueue(retry_policy=RetryPolicy(max_attempts=1),
-                          telemetry=telemetry)
-        pool = WorkerPool(queue, n_workers=1, telemetry=telemetry)
-        handler = FlakyHandler(lambda n: n * 2, fail_times=1)
-        pool.register("work", handler)
-        t = queue.submit("work", 21)
-        with pool:
-            pool.drain(timeout=10.0)
-            assert queue.task(t.task_id).state is TaskState.DEAD
-            # Operator replays the dead letter once the handler recovered.
-            queue.retry_dead(t.task_id)
-            pool.drain(timeout=10.0)
-        assert queue.task(t.task_id).state is TaskState.DONE
-        assert queue.task(t.task_id).result == 42

@@ -1,8 +1,10 @@
 """Fault parity: a shard treats a corrupt upload exactly as a batch build.
 
-One SWS upload whose first frame is NaN must give the same map, failures
-and quarantine counter through ``MapShard`` as through
-``CrowdMapPipeline.run_sessions``.
+Two faulted crowds must give the same map, failures and quarantine
+counters through ``MapShard`` as through ``CrowdMapPipeline.run_sessions``:
+one SWS upload whose first frame is NaN, and the chaos suite's mixed crowd
+(one SWS and one SRS session NaN-poisoned by the seeded
+``FaultInjector``), which also exercises panorama-group quarantine.
 """
 
 import dataclasses
@@ -10,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.backend.faults import FaultInjector
 from repro.backend.telemetry import TelemetryRegistry
 from repro.core.config import CrowdMapConfig
 from repro.core.keyframes import KeyframeSelectionError
@@ -19,6 +22,10 @@ from repro.serving.shards import MapShard, ShardKey
 
 KEY = ShardKey("Lab1", 1)
 CONFIG = CrowdMapConfig().with_overrides(layout_samples=400)
+
+#: The error a NaN-poisoned session is quarantined with, by task.
+QUARANTINE_ERROR = {"SWS": "KeyframeSelectionError",
+                    "SRS": "PanoramaCoverageError"}
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +45,32 @@ def corrupt_crowd(small_dataset):
     return clean + [corrupt]
 
 
+@pytest.fixture(scope="module")
+def mixed_fault_crowd(small_dataset):
+    """The chaos suite's ``SEED_MIXED`` crowd: 20% of sessions poisoned."""
+    injector = FaultInjector(seed=0, fault_rate=0.2, kinds=("corrupt_frames",))
+    faulted = {
+        d.item_id
+        for d in injector.plan([s.session_id for s in small_dataset.sessions])
+    }
+    # The seed faults one SWS and one SRS session.
+    assert sorted(s.task for s in small_dataset.sessions
+                  if s.session_id in faulted) == ["SRS", "SWS"]
+    return [
+        injector.corrupt_session_frames(s) if s.session_id in faulted else s
+        for s in small_dataset.sessions
+    ]
+
+
+def _expected_failures(sessions):
+    """``{session_id: error type}`` for every session with a NaN frame."""
+    return {
+        s.session_id: QUARANTINE_ERROR[s.task]
+        for s in sessions
+        if any(not np.isfinite(f.pixels).all() for f in s.frames)
+    }
+
+
 def _ingested(sessions, config):
     shard = MapShard(KEY, config=config, telemetry=TelemetryRegistry())
     for session in sessions:
@@ -45,17 +78,24 @@ def _ingested(sessions, config):
     return shard
 
 
-def test_shard_quarantines_like_batch(corrupt_crowd):
-    shard = _ingested(corrupt_crowd, CONFIG)
+@pytest.mark.parametrize("crowd", ["corrupt_crowd", "mixed_fault_crowd"])
+def test_shard_quarantines_like_batch(crowd, request):
+    sessions = request.getfixturevalue(crowd)
+    expected = _expected_failures(sessions)
+    shard = _ingested(sessions, CONFIG)
     served = shard.refresh(now=1.0).result
     batch_registry = TelemetryRegistry()
-    batch = CrowdMapPipeline(CONFIG, batch_registry).run_sessions(corrupt_crowd)
+    batch = CrowdMapPipeline(CONFIG, batch_registry).run_sessions(sessions)
     assert diff_reconstruction(served, batch) == []
     assert served.failures == batch.failures
-    assert [f.item_id for f in batch.failures] == [corrupt_crowd[-1].session_id]
-    assert batch.failures[0].error_type == "KeyframeSelectionError"
-    assert shard.telemetry.value("sessions_quarantined") == 1
-    assert batch_registry.value("sessions_quarantined") == 1
+    assert {f.item_id: f.error_type for f in batch.failures} == expected
+    errors = list(expected.values())
+    for counter, error in (
+        ("sessions_quarantined", "KeyframeSelectionError"),
+        ("panorama_groups_quarantined", "PanoramaCoverageError"),
+    ):
+        assert shard.telemetry.value(counter) == errors.count(error)
+        assert batch_registry.value(counter) == errors.count(error)
 
 
 def test_raise_mode_fails_refresh_not_ingest(corrupt_crowd):
