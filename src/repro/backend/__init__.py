@@ -17,24 +17,16 @@ is the execution substrate behind it:
 - :mod:`repro.backend.batching` — same-shape frame batches for the
   batched vision kernels;
 - :mod:`repro.backend.telemetry` — counters, gauges and histograms;
-- :mod:`repro.backend.faults` — seeded fault injection: corrupt capture
-  sessions for the quarantine chaos tests, and a lossy, partitionable
-  link model for the fleet gossip mesh.
+- :mod:`repro.backend.faults` — a seeded, lossy, partitionable link
+  model for the fleet gossip mesh.
 """
 
-from repro.backend.faults import (
-    FaultDecision,
-    FaultInjector,
-    LinkFaultModel,
-    Partition,
-)
+from repro.backend.faults import LinkFaultModel, Partition
 from repro.backend.scheduler import SimulatedScheduler, ScheduledJob
 from repro.backend.workers import map_parallel, map_with_failures
 from repro.backend.telemetry import TelemetryRegistry, default_registry
 
 __all__ = [
-    "FaultDecision",
-    "FaultInjector",
     "LinkFaultModel",
     "Partition",
     "SimulatedScheduler",

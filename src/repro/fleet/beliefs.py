@@ -43,7 +43,7 @@ from repro.fleet.evidence import (
     SessionEvidence,
     canonical_json,
 )
-from repro.fleet.versions import VersionVector
+from repro.fleet.versions import EMPTY_VERSION, VersionVector
 
 
 class EvidenceStore:
@@ -58,6 +58,9 @@ class EvidenceStore:
         self.config = config or EvidenceConfig()
         self._regions: Dict[RegionKey, Dict[str, SessionEvidence]] = {}
         self._versions: Dict[RegionKey, VersionVector] = {}
+        #: :meth:`digest` of the current state; None once a mutation
+        #: changed a record set or a vector.
+        self._digest: Optional[str] = None
 
     def add(self, evidence: SessionEvidence, origin: str) -> bool:
         """Ingest a locally observed record; True when it was new.
@@ -72,6 +75,7 @@ class EvidenceStore:
             return False
         records[evidence.session_id] = evidence
         self._versions[region] = self.version(region).bump(origin)
+        self._digest = None
         return True
 
     def merge_region(
@@ -86,18 +90,25 @@ class EvidenceStore:
         known — learning that another node's history is covered is what
         lets vector comparison prove staleness later.
         """
-        mine = self._regions.setdefault(region, {})
+        if region not in self._regions:
+            self._regions[region] = {}
+            self._digest = None
+        mine = self._regions[region]
         added = 0
         for record in records:
             if record.session_id not in mine:
                 mine[record.session_id] = record
                 added += 1
-        self._versions[region] = self.version(region).merge(version)
+        current = self.version(region)
+        merged = current.merge(version)
+        if added or merged is not current:
+            self._versions[region] = merged
+            self._digest = None
         return added
 
     def version(self, region: RegionKey) -> VersionVector:
         """The region's current version vector (empty when untouched)."""
-        return self._versions.get(region, VersionVector())
+        return self._versions.get(region, EMPTY_VERSION)
 
     def regions(self) -> List[RegionKey]:
         """All known regions, sorted (deterministic iteration order)."""
@@ -122,7 +133,9 @@ class EvidenceStore:
         return sum(len(records) for records in self._regions.values())
 
     def digest(self) -> str:
-        """Content hash of the full state (records + vectors)."""
+        """Content hash of the full state (records + vectors), memoized."""
+        if self._digest is not None:
+            return self._digest
         payload = {
             "regions": {
                 "/".join(map(str, region)): {
@@ -132,9 +145,10 @@ class EvidenceStore:
                 for region in self.regions()
             }
         }
-        return hashlib.sha1(
+        self._digest = hashlib.sha1(
             canonical_json(payload).encode("utf-8")
         ).hexdigest()
+        return self._digest
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -96,6 +96,8 @@ class SessionEvidence:
     bbox: Tuple[int, int, int, int]
     room_name: Optional[str] = None
     room_center: Optional[Tuple[float, float]] = None
+    #: Canonical-JSON size of ``to_payload()``, fixed at construction.
+    _payload_bytes: int = field(init=False, repr=False, compare=False)
 
     def region(self, config: EvidenceConfig) -> RegionKey:
         """The single region this record files under (its bbox centre tile)."""
@@ -145,9 +147,18 @@ class SessionEvidence:
             ),
         )
 
+    def __post_init__(self) -> None:
+        # The record is immutable, so its wire size is fixed: encode once
+        # here and let every summary carrying it add an int.
+        object.__setattr__(
+            self,
+            "_payload_bytes",
+            len(canonical_json(self.to_payload()).encode("utf-8")),
+        )
+
     def payload_bytes(self) -> int:
         """Serialized size, the unit the gossip byte counters account in."""
-        return len(canonical_json(self.to_payload()).encode("utf-8"))
+        return self._payload_bytes
 
 
 def canonical_json(obj) -> str:
@@ -157,34 +168,53 @@ def canonical_json(obj) -> str:
 
 def _trajectory_cells(
     points: np.ndarray, config: EvidenceConfig
-) -> List[Tuple[int, int]]:
+) -> np.ndarray:
     """Absolute cells a trajectory polyline touches, splat disc included.
 
     Mirrors ``OccupancyGrid.add_trajectory`` — half-cell sampling along
     each leg, disc of ``splat_radius`` around each sample — but in
-    unbounded integer world cells instead of a node-local array.
+    unbounded integer world cells instead of a node-local array. Returns
+    an ``(n, 2)`` int64 array of ``(cx, cy)`` rows, sorted, each once.
+
+    Each leg of ``n`` steps is sampled at the points
+    ``np.linspace(0, 1, n + 1)[1:]`` gives (``i * (1 / n)``, the last
+    exactly 1), all legs in one array. Working memory grows with the
+    number of samples, never with the trajectory's bounding box.
     """
     if len(points) == 0:
-        return []
+        return np.zeros((0, 2), dtype=np.int64)
     step = config.cell_size / 2.0
-    samples = [points[0]]
-    for k in range(len(points) - 1):
-        a, b = points[k], points[k + 1]
-        dist = float(np.hypot(*(b - a)))
-        n_steps = max(1, int(dist / step))
-        for t in np.linspace(0.0, 1.0, n_steps + 1)[1:]:
-            samples.append(a + t * (b - a))
-    radius_cells = int(np.ceil(config.splat_radius / config.cell_size))
-    cells = set()
-    for x, y in samples:
-        cx = int(math.floor(float(x) / config.cell_size))
-        cy = int(math.floor(float(y) / config.cell_size))
-        for dr in range(-radius_cells, radius_cells + 1):
-            for dc in range(-radius_cells, radius_cells + 1):
-                if dr * dr + dc * dc > radius_cells * radius_cells:
-                    continue
-                cells.add((cx + dc, cy + dr))
-    return sorted(cells)
+    legs = points[1:] - points[:-1]
+    dist = np.hypot(legs[:, 0], legs[:, 1])
+    n_steps = np.maximum(1, (dist / step).astype(np.int64))
+    leg = np.repeat(np.arange(len(legs)), n_steps)
+    ends = np.cumsum(n_steps)
+    index = np.arange(1, len(leg) + 1, dtype=np.float64)
+    index -= np.repeat(ends - n_steps, n_steps)
+    t = index * (1.0 / n_steps[leg])
+    t[ends - 1] = 1.0
+    samples = np.concatenate(
+        [points[:1], points[leg] + t[:, None] * legs[leg]]
+    )
+
+    radius = int(np.ceil(config.splat_radius / config.cell_size))
+    base = np.floor(samples / config.cell_size).astype(np.int64)
+    # Row-major keys over the hull of the splatted samples: a disc offset
+    # is one key offset, and key order is (cx, cy) order.
+    lo = base.min(axis=0) - radius
+    height = int(base[:, 1].max() - lo[1]) + radius + 1
+    disc = np.array([
+        dc * height + dr
+        for dr in range(-radius, radius + 1)
+        for dc in range(-radius, radius + 1)
+        if dr * dr + dc * dc <= radius * radius
+    ])
+    keys = (base[:, 0] - lo[0]) * height + (base[:, 1] - lo[1])
+    # A Python set and sort of the few thousand keys cost about as much
+    # as numpy's, whose int64 sort would map ~0.3 MB of SIMD code into
+    # every process that extracts evidence.
+    keys = np.array(sorted(set((keys[:, None] + disc).ravel().tolist())))
+    return np.stack([keys // height + lo[0], keys % height + lo[1]], axis=1)
 
 
 def extract_evidence(
@@ -200,11 +230,13 @@ def extract_evidence(
     if session.task not in EVIDENCE_TASKS:
         return None
     points = session.device_trajectory.as_array()
+    if not all(map(math.isfinite, points.ravel().tolist())):
+        raise ValueError(
+            f"session {session.session_id!r}: trajectory has a non-finite point"
+        )
     cells = _trajectory_cells(points, config)
-    if not cells:
+    if len(cells) == 0:
         return None
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
     room_name = None
     room_center = None
     if session.task == "SRS":
@@ -217,8 +249,8 @@ def extract_evidence(
         building=session.building,
         floor=int(session.floor),
         task=session.task,
-        cells=tuple(cells),
-        bbox=(min(xs), min(ys), max(xs), max(ys)),
+        cells=tuple(zip(cells[:, 0].tolist(), cells[:, 1].tolist())),
+        bbox=(*cells.min(axis=0).tolist(), *cells.max(axis=0).tolist()),
         room_name=room_name,
         room_center=room_center,
     )

@@ -19,6 +19,7 @@ the multi-instance regression tests pin down.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -28,10 +29,9 @@ from repro.fleet.evidence import (
     EvidenceConfig,
     RegionKey,
     SessionEvidence,
-    canonical_json,
     extract_evidence,
 )
-from repro.fleet.versions import VersionVector
+from repro.fleet.versions import EMPTY_VERSION, VersionVector
 from repro.serving.shards import ShardManager
 
 
@@ -65,7 +65,7 @@ class FleetSummary:
             "sender": self.sender,
             "kind": self.kind,
             "regions": {
-                "/".join(map(str, region)): {
+                _wire_key(region): {
                     "vv": vv.to_payload(),
                     "records": [r.to_payload() for r in records],
                 }
@@ -74,8 +74,42 @@ class FleetSummary:
         }
 
     def payload_bytes(self) -> int:
-        """Serialized size in bytes, as counted by the gossip telemetry."""
-        return len(canonical_json(self.to_payload()).encode("utf-8"))
+        """Serialized size in bytes, as counted by the gossip telemetry.
+
+        Equals ``len(canonical_json(self.to_payload()).encode("utf-8"))``
+        without encoding anything but short strings: records and vectors
+        know their own sizes, and the rest is the fixed JSON framing.
+        """
+        total = _SUMMARY_FRAME + max(len(self.regions) - 1, 0)
+        total += _json_bytes(self.sender) + _json_bytes(self.kind)
+        for region, (version, records) in self.regions.items():
+            total += _REGION_FRAME + _json_bytes(_wire_key(region))
+            total += version.payload_bytes() + max(len(records) - 1, 0)
+            total += sum(record.payload_bytes() for record in records)
+        return total
+
+
+def _wire_key(region: RegionKey) -> str:
+    """A region's key in a summary's wire form."""
+    return "/".join(map(str, region))
+
+
+def _json_bytes(text: str) -> int:
+    """Canonical-JSON size of one string (quotes and escapes included).
+
+    A lone string encodes the same under any key order or separators,
+    and ``json.dumps`` escapes every non-ASCII character, so its length
+    is the UTF-8 byte count.
+    """
+    return len(json.dumps(text))
+
+
+#: Canonical-JSON bytes of a summary besides its two strings, its region
+#: entries and the commas between them.
+_SUMMARY_FRAME = len('{"kind":,"regions":{},"sender":}')
+#: Canonical-JSON bytes of one region entry besides its key, its vector,
+#: its records and the commas between them.
+_REGION_FRAME = len(':{"records":[],"vv":}')
 
 
 class FleetNode:
@@ -147,7 +181,7 @@ class FleetNode:
         regions = {}
         for region in self.store.regions():
             mine = self.store.version(region)
-            if known.get(region, VersionVector()).dominates(mine):
+            if known.get(region, EMPTY_VERSION).dominates(mine):
                 continue
             regions[region] = (mine, tuple(self.store.records(region)))
         if not regions:
@@ -173,7 +207,7 @@ class FleetNode:
                 stale += 1
             else:
                 merged += self.store.merge_region(region, records, version)
-            known[region] = known.get(region, VersionVector()).merge(version)
+            known[region] = known.get(region, EMPTY_VERSION).merge(version)
         self.telemetry.counter(
             "fleet_records_merged", "evidence records learned via gossip"
         ).inc(merged)

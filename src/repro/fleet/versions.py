@@ -24,15 +24,18 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Mapping, Optional
 
+from repro.fleet.evidence import canonical_json
+
 
 class VersionVector:
     """An immutable mapping ``node_id -> update counter``.
 
-    All operations return new vectors; instances hash/compare by value so
-    they can key dicts and appear in sets.
+    All operations return vectors that are new or, when nothing changes,
+    the operand itself (safe, since vectors never mutate); instances
+    hash/compare by value so they can key dicts and appear in sets.
     """
 
-    __slots__ = ("_counters",)
+    __slots__ = ("_counters", "_payload_bytes")
 
     def __init__(self, counters: Optional[Mapping[str, int]] = None):
         items = {}
@@ -43,6 +46,8 @@ class VersionVector:
             if count > 0:
                 items[node] = count
         self._counters: Dict[str, int] = dict(sorted(items.items()))
+        #: Canonical-JSON size of ``to_payload()``, set on first use.
+        self._payload_bytes: Optional[int] = None
 
     def get(self, node: str) -> int:
         """This node's counter (0 when the node never updated the region)."""
@@ -55,7 +60,14 @@ class VersionVector:
         return VersionVector(merged)
 
     def merge(self, other: "VersionVector") -> "VersionVector":
-        """Pointwise max — the least upper bound of the two histories."""
+        """Pointwise max — the least upper bound of the two histories.
+
+        Returns an operand itself when it already dominates the other.
+        """
+        if self.dominates(other):
+            return self
+        if other.dominates(self):
+            return other
         merged = dict(self._counters)
         for node, count in other._counters.items():
             if count > merged.get(node, 0):
@@ -68,9 +80,11 @@ class VersionVector:
         ``a.dominates(b)`` means a state carrying ``a`` already contains
         everything a full-region summary carrying ``b`` could add.
         """
-        return all(
-            self.get(node) >= count for node, count in other._counters.items()
-        )
+        mine = self._counters
+        for node, count in other._counters.items():
+            if mine.get(node, 0) < count:
+                return False
+        return True
 
     def items(self) -> Iterator:
         """Sorted ``(node, counter)`` pairs (zero components omitted)."""
@@ -79,6 +93,14 @@ class VersionVector:
     def to_payload(self) -> Dict[str, int]:
         """Wire form: a plain sorted dict."""
         return dict(self._counters)
+
+    def payload_bytes(self) -> int:
+        """Canonical-JSON size of :meth:`to_payload`, encoded only once."""
+        if self._payload_bytes is None:
+            self._payload_bytes = len(
+                canonical_json(self._counters).encode("utf-8")
+            )
+        return self._payload_bytes
 
     @staticmethod
     def from_payload(payload: Mapping[str, int]) -> "VersionVector":
@@ -99,3 +121,8 @@ class VersionVector:
     def __repr__(self) -> str:
         inner = ",".join(f"{n}:{c}" for n, c in self._counters.items())
         return f"VersionVector({inner})"
+
+
+#: The vector of a region nobody has updated; shared, since vectors
+#: never mutate.
+EMPTY_VERSION = VersionVector()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backend.faults import FaultInjector
+from tests.fault_injection import FaultInjector
 
 
 class TestFaultInjector:

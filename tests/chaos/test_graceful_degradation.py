@@ -4,7 +4,7 @@ CrowdMap's premise (paper Fig. 7a) is that reconstruction quality grows
 with trajectory quantity — which only holds if a corrupt minority of
 uploads cannot abort the majority. These tests fault-inject 20% of a
 crowd dataset's sessions with the seeded
-:class:`~repro.backend.faults.FaultInjector` and assert that:
+:class:`~tests.fault_injection.FaultInjector` and assert that:
 
 - the pipeline still returns a :class:`ReconstructionResult` with a
   non-empty floor plan built from the healthy sessions;
@@ -18,11 +18,12 @@ through a serving shard and checks it against this batch build.
 
 import pytest
 
-from repro.backend.faults import FaultInjector
 from repro.backend.telemetry import TelemetryRegistry
 from repro.core.config import CrowdMapConfig
 from repro.core.keyframes import KeyframeSelectionError
 from repro.core.pipeline import CrowdMapPipeline
+
+from tests.fault_injection import FaultInjector
 
 FAULT_RATE = 0.2
 

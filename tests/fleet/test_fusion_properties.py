@@ -6,13 +6,16 @@ associative and idempotent. Each property is exercised over seeded
 permutations of real summaries built from the shared fleet crowd.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from repro.fleet.beliefs import EvidenceStore, divergence, project
+from repro.fleet.evidence import canonical_json
 from repro.fleet.node import FleetNode, FleetSummary
+from repro.fleet.versions import VersionVector
 
 
 def summaries_from(records, config, origin="origin"):
@@ -226,3 +229,62 @@ class TestProjectionPurity:
         partial = project(partial_store)
         apart = divergence(full, partial)
         assert apart["occupied_jaccard_distance"] > 0.0
+
+
+def reference_digest(store):
+    """The store digest computed afresh from its public state."""
+    payload = {
+        "regions": {
+            "/".join(map(str, region)): {
+                "sids": [r.session_id for r in store.records(region)],
+                "vv": store.version(region).to_payload(),
+            }
+            for region in store.regions()
+        }
+    }
+    return hashlib.sha1(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+class TestDigestMemo:
+    """The memoized digest tracks every change to records or vectors."""
+
+    def test_memo_follows_adds_and_merges(
+        self, evidence_records, evidence_config
+    ):
+        store = EvidenceStore(evidence_config)
+        assert store.digest() == reference_digest(store)
+        half = len(evidence_records) // 2
+        for record in evidence_records[:half]:
+            store.add(record, "a")
+            assert store.digest() == reference_digest(store)
+        for summary in summaries_from(evidence_records[half:], evidence_config):
+            for region, (version, records) in summary.regions.items():
+                store.merge_region(region, records, version)
+                assert store.digest() == reference_digest(store)
+
+    def test_vector_only_merge_changes_the_digest(
+        self, evidence_records, evidence_config
+    ):
+        store = EvidenceStore(evidence_config)
+        record = evidence_records[0]
+        store.add(record, "a")
+        region = record.region(evidence_config)
+        before = store.digest()
+        newer = store.version(region).merge(VersionVector({"b": 4}))
+        assert store.merge_region(region, (record,), newer) == 0
+        assert store.digest() != before
+        assert store.digest() == reference_digest(store)
+
+    def test_no_op_mutations_keep_the_digest(
+        self, evidence_records, evidence_config
+    ):
+        store = EvidenceStore(evidence_config)
+        record = evidence_records[0]
+        store.add(record, "a")
+        region = record.region(evidence_config)
+        before = store.digest()
+        assert not store.add(record, "b")
+        assert store.merge_region(region, (record,), VersionVector()) == 0
+        assert store.version(region) == VersionVector({"a": 1})
+        assert store.digest() == before == reference_digest(store)
+

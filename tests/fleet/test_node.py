@@ -1,8 +1,30 @@
 """FleetNode behaviour: ingest idempotence, summaries, acks, isolation."""
 
+import pytest
+
+from repro.backend.faults import LinkFaultModel, Partition
 from repro.backend.telemetry import TelemetryRegistry, default_registry
+from repro.fleet.evidence import SessionEvidence, canonical_json
+from repro.fleet.gossip import GossipConfig, GossipMesh
 from repro.fleet.node import FleetNode, FleetSummary
 from repro.fleet.versions import VersionVector
+from repro.world.scenarios import slice_sessions
+
+
+def wire_bytes(summary):
+    return len(canonical_json(summary.to_payload()).encode("utf-8"))
+
+
+class RecordingMesh(GossipMesh):
+    """A mesh that keeps every summary it puts on the wire."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = []
+
+    def _send(self, sender_id, receiver_id, summary, now, stats):
+        self.sent.append(summary)
+        super()._send(sender_id, receiver_id, summary, now, stats)
 
 
 class TestIngest:
@@ -134,3 +156,86 @@ class TestSummaryExchange:
         assert not node.store.version(phantom_region)
         # But peer knowledge was updated, so we would not push to them.
         assert node.summary_for("peer") is None
+
+
+class TestSummaryBytes:
+    """Summed byte counts equal the size of the encoded summary."""
+
+    def test_every_summary_of_a_lossy_mesh(
+        self, fleet_sessions, evidence_config
+    ):
+        nodes = [
+            FleetNode(f"node{i:02d}", config=evidence_config)
+            for i in range(3)
+        ]
+        slices = slice_sessions(fleet_sessions, 3, overlap=0.25, seed=0)
+        for node, part in zip(nodes, slices):
+            for session in part:
+                node.ingest_session(session)
+        mesh = RecordingMesh(
+            nodes,
+            link_model=LinkFaultModel(
+                seed=0,
+                loss_rate=0.2,
+                partitions=(Partition(2.0, 6.0, (("node00",), ("node01",))),),
+            ),
+            config=GossipConfig(seed=0),
+        )
+        for round_number in range(1, 33):
+            mesh.run_round(float(round_number))
+            if mesh.converged():
+                break
+        assert mesh.converged()
+        kinds = {summary.kind for summary in mesh.sent}
+        assert kinds == {"push", "response"}
+        acks = [
+            region
+            for summary in mesh.sent
+            for region, (_, records) in summary.regions.items()
+            if not records
+        ]
+        assert acks, "the mesh never sent an ack region"
+        total = 0
+        for summary in mesh.sent:
+            assert summary.payload_bytes() == wire_bytes(summary)
+            total += summary.payload_bytes()
+        assert mesh.telemetry.value("fleet_gossip_bytes_sent") == total
+
+    @staticmethod
+    def record(sid, building, cells, room=None):
+        xs = [c[0] for c in cells]
+        ys = [c[1] for c in cells]
+        extra = {}
+        if room is not None:
+            extra = {"room_name": room, "room_center": (-2.5, 0.75)}
+        return SessionEvidence(
+            session_id=sid,
+            user_id="u0",
+            building=building,
+            floor=0,
+            task="SWS" if room is None else "SRS",
+            cells=tuple(cells),
+            bbox=(min(xs), min(ys), max(xs), max(ys)),
+            **extra,
+        )
+
+    @pytest.mark.parametrize("kind", ["push", "response"])
+    def test_hand_built_summaries(self, kind):
+        lab = self.record("s1", "Lab1", [(-40, -3), (-39, -3)])
+        gym = self.record("s2", "Gym", [(5, 7)], room="Salle Ω")
+        annex = self.record("s3", "Annexe ü", [(1000, -2000)], room=None)
+        vv = VersionVector({"node00": 3, "nöde01": 12})
+        cases = [
+            {},
+            {("Lab1", 0, -3, -1): (VersionVector(), ())},
+            {
+                ("Lab1", 0, -3, -1): (vv, (lab,)),
+                ("Gym", 2, 0, 0): (VersionVector({"node00": 1}), (gym,)),
+                ("Annexe ü", -1, 62, -125): (vv, (annex, lab, gym)),
+                ("Lab1", 0, 5, 5): (vv, ()),
+            },
+        ]
+        for regions in cases:
+            summary = FleetSummary(sender="nöde01", regions=regions, kind=kind)
+            assert summary.payload_bytes() == wire_bytes(summary)
+

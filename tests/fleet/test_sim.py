@@ -3,8 +3,10 @@
 import pytest
 
 from repro.backend.faults import Partition
+from repro.fleet.node import FleetNode
 from repro.fleet.sim import (
     FleetSimConfig,
+    build_fleet_crowd,
     render_fleet_report,
     report_json,
     run_fleet_simulation,
@@ -82,6 +84,67 @@ class TestEquivalence:
         assert report["totals"]["dropped"] > 0
         for entry in report["equivalence"].values():
             assert entry["problems"] == []
+
+
+#: The CI smoke run: ``fleet-sim --building Lab1 --nodes 3 --users 2 --seed 0``.
+CI_SMOKE = FleetSimConfig(buildings=("Lab1",), n_nodes=3, users_per_building=2)
+#: The same run with ``--loss 0.2 --partition '2:6:0|1,2'``.
+CI_SMOKE_LOSSY = FleetSimConfig(
+    buildings=("Lab1",),
+    n_nodes=3,
+    users_per_building=2,
+    loss_rate=0.2,
+    partitions=(Partition(2.0, 6.0, (("node00",), ("node01", "node02"))),),
+)
+
+
+class TestGoldenConvergence:
+    """Convergence records pinned from a known-good build.
+
+    Two same-seed runs agreeing with each other cannot show a change that
+    moves both alike (say, a byte count computed differently); these
+    numbers can.
+    """
+
+    @pytest.mark.parametrize(
+        "config, rounds, totals",
+        [
+            (
+                CI_SMOKE,
+                8,
+                {
+                    "messages_sent": 28,
+                    "bytes_gossiped": 93303,
+                    "dropped": 0,
+                    "delivered": 28,
+                },
+            ),
+            (
+                CI_SMOKE_LOSSY,
+                11,
+                {
+                    "messages_sent": 37,
+                    "bytes_gossiped": 172870,
+                    "dropped": 13,
+                    "delivered": 24,
+                },
+            ),
+        ],
+        ids=["ci-smoke", "ci-smoke-lossy"],
+    )
+    def test_rounds_and_totals(self, config, rounds, totals):
+        report = run_fleet_simulation(config)
+        assert report["rounds_to_converge"] == rounds
+        assert report["totals"] == totals
+
+    def test_central_digests(self):
+        sessions, _ = build_fleet_crowd(CI_SMOKE)
+        central = FleetNode("central", config=CI_SMOKE.evidence)
+        for session in sessions:
+            central.ingest_session(session)
+        fused = central.fused_map().digest()
+        assert fused == "5813606441dcb9d13abd0f21a11de74870fe7acf"
+        assert central.digest() == "590d88a9cf764558f140e35ae1f34618aae5dc8c"
 
 
 class TestReportShape:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.fleet.versions import VersionVector
+from repro.fleet.beliefs import EvidenceStore
+from repro.fleet.evidence import canonical_json
+from repro.fleet.versions import EMPTY_VERSION, VersionVector
 
 
 class TestBasics:
@@ -73,3 +75,32 @@ class TestWireFormat:
     def test_payload_is_plain_dict(self, payload):
         vv = VersionVector.from_payload(payload)
         assert vv.to_payload() == payload
+
+    @pytest.mark.parametrize(
+        "payload", [{}, {"n0": 5}, {"node00": 12, 'n\u00f6de"01': 3}]
+    )
+    def test_payload_bytes_equal_encoded_size(self, payload):
+        vv = VersionVector(payload)
+        encoded = canonical_json(vv.to_payload()).encode("utf-8")
+        assert vv.payload_bytes() == len(encoded)
+        assert vv.payload_bytes() == len(encoded)  # memoized answer
+
+
+class TestAllocationFreePaths:
+    def test_merge_returns_self_when_no_component_rises(self):
+        a = VersionVector({"n0": 3, "n1": 1})
+        assert a.merge(VersionVector({"n0": 2})) is a
+        assert a.merge(a) is a
+        assert a.merge(EMPTY_VERSION) is a
+
+    def test_merge_returns_other_when_it_dominates(self):
+        a = VersionVector({"n0": 1})
+        b = VersionVector({"n0": 2, "n1": 1})
+        assert a.merge(b) is b
+        assert EMPTY_VERSION.merge(b) is b
+
+    def test_one_shared_empty_vector(self):
+        assert EMPTY_VERSION == VersionVector()
+        assert not EMPTY_VERSION
+        assert EvidenceStore().version(("Lab1", 0, 0, 0)) is EMPTY_VERSION
+

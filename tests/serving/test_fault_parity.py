@@ -12,13 +12,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.backend.faults import FaultInjector
 from repro.backend.telemetry import TelemetryRegistry
 from repro.core.config import CrowdMapConfig
 from repro.core.keyframes import KeyframeSelectionError
 from repro.core.pipeline import CrowdMapPipeline
 from repro.dataflow.identity import diff_reconstruction
 from repro.serving.shards import MapShard, ShardKey
+
+from tests.fault_injection import FaultInjector
 
 KEY = ShardKey("Lab1", 1)
 CONFIG = CrowdMapConfig().with_overrides(layout_samples=400)
