@@ -15,7 +15,7 @@ Qiao - ICDCS 2015), including every substrate the system needs offline:
 - :mod:`repro.world` - procedural ground-truth buildings, a raycasting
   renderer, and the simulated crowd;
 - :mod:`repro.backend` - the cloud-side substrate (simulated scheduler,
-  parallel maps, result cache, telemetry, fault injection);
+  parallel maps, result cache, telemetry, link faults);
 - :mod:`repro.baselines` - the comparators from the paper's evaluation;
 - :mod:`repro.eval` - the paper's metrics and report rendering.
 

@@ -27,7 +27,6 @@ which is what buys commutative/associative/idempotent merges.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -230,7 +229,7 @@ def extract_evidence(
     if session.task not in EVIDENCE_TASKS:
         return None
     points = session.device_trajectory.as_array()
-    if not all(map(math.isfinite, points.ravel().tolist())):
+    if not np.isfinite(points).all():
         raise ValueError(
             f"session {session.session_id!r}: trajectory has a non-finite point"
         )

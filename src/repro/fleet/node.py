@@ -19,7 +19,6 @@ the multi-instance regression tests pin down.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -29,6 +28,7 @@ from repro.fleet.evidence import (
     EvidenceConfig,
     RegionKey,
     SessionEvidence,
+    canonical_json,
     extract_evidence,
 )
 from repro.fleet.versions import EMPTY_VERSION, VersionVector
@@ -97,19 +97,29 @@ def _wire_key(region: RegionKey) -> str:
 def _json_bytes(text: str) -> int:
     """Canonical-JSON size of one string (quotes and escapes included).
 
-    A lone string encodes the same under any key order or separators,
-    and ``json.dumps`` escapes every non-ASCII character, so its length
-    is the UTF-8 byte count.
+    ``canonical_json`` escapes every non-ASCII character, so the encoded
+    length is the UTF-8 byte count.
     """
-    return len(json.dumps(text))
+    return len(canonical_json(text))
 
 
+def _frame_bytes(regions: Dict) -> int:
+    """Canonical-JSON size of a summary with empty sender and kind."""
+    return len(canonical_json(FleetSummary("", regions, "").to_payload()))
+
+
+_NO_REGION: RegionKey = ("", 0, 0, 0)
 #: Canonical-JSON bytes of a summary besides its two strings, its region
 #: entries and the commas between them.
-_SUMMARY_FRAME = len('{"kind":,"regions":{},"sender":}')
+_SUMMARY_FRAME = _frame_bytes({}) - 2 * _json_bytes("")
 #: Canonical-JSON bytes of one region entry besides its key, its vector,
 #: its records and the commas between them.
-_REGION_FRAME = len(':{"records":[],"vv":}')
+_REGION_FRAME = (
+    _frame_bytes({_NO_REGION: (EMPTY_VERSION, ())})
+    - _frame_bytes({})
+    - _json_bytes(_wire_key(_NO_REGION))
+    - EMPTY_VERSION.payload_bytes()
+)
 
 
 class FleetNode:
