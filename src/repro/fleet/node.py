@@ -19,8 +19,8 @@ the multi-instance regression tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.backend.telemetry import TelemetryRegistry
 from repro.fleet.beliefs import EvidenceStore, FleetMap, project
